@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .norms import Region, WeightFunction, phi_norm, fatten, sup_norm
-from .poly import Dyadic, Polynomial, nearest_dyadic
+from .poly import Dyadic, Polynomial, design_matrix, nearest_dyadic
 from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
@@ -61,6 +61,10 @@ class Certificate:
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def recompute_residuals(self) -> dict:
+        if "witness_point" in self.residuals:
+            # A failure certificate stores only the point refuting positivity.
+            f = self.params["f"]
+            return {"witness_value": f.evaluate(self.residuals["witness_point"])}
         if self.kind == "tk":
             m, c, d = (self.decomposition[k] for k in ("m", "c", "d"))
             f = self.params["f"]
@@ -289,7 +293,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
 
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
-    a = np.stack([_mono_col(samples, exp) for exp in monos], axis=1)
+    a = design_matrix(samples, monos)
     scale = np.max(np.abs(a), axis=0)
     scale[scale == 0] = 1.0
     coeffs, _, rank, _ = np.linalg.lstsq(a / scale, target, rcond=None)
@@ -309,14 +313,6 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
         {"sup": residual, "argmax": tuple(samples[i])},
         message=message,
     )
-
-
-def _mono_col(points: np.ndarray, exp) -> np.ndarray:
-    col = np.ones(points.shape[0])
-    for i, e in enumerate(exp):
-        if e:
-            col = col * points[:, i] ** e
-    return col
 
 
 def series_root(r: float, a: Polynomial, d: int, n_terms: int,
@@ -470,9 +466,7 @@ def strictness_witness(points, region: Region, eps: float,
     point_list = [tuple(p) for p in pts]
     params = {"points": point_list, "region": region, "eps": eps,
               "fit_degree": fit_degree}
-    constraints = np.stack([_mono_col(pts, exp) for exp in monos], axis=1)
-    constraints = np.vstack([constraints,
-                             [_mono_col(np.array([beta]), exp)[0] for exp in monos]])
+    constraints = design_matrix(np.vstack([pts, beta]), monos)
     rhs = np.zeros(len(pts) + 1)
     rhs[-1] = 1.0
 
@@ -483,7 +477,7 @@ def strictness_witness(points, region: Region, eps: float,
     u, sigma, vt = np.linalg.svd(constraints)
     rank = int(np.sum(sigma > 1e-12 * sigma[0]))
     z = vt[rank:].T
-    a_mat = np.stack([_mono_col(samples, exp) for exp in monos], axis=1)
+    a_mat = design_matrix(samples, monos)
     bump = np.clip(dist / dist[ib], 0.0, 1.0) ** 2
     if z.shape[1] > 0:
         y, _, _, _ = np.linalg.lstsq(a_mat @ z, bump - a_mat @ x0, rcond=None)

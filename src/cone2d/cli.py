@@ -32,17 +32,6 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path):
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: parse error at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
-
-
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -50,40 +39,25 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
-def load_polynomial(path) -> Polynomial:
-    try:
-        return Polynomial.from_json_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: invalid polynomial: {exc}") from exc
-
-
-def load_region(path) -> Region:
-    try:
-        return Region.from_json_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: invalid region: {exc}") from exc
-
-
-def load_weight(path) -> WeightFunction:
-    try:
-        return WeightFunction.from_json_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: invalid weight function: {exc}") from exc
-
-
-def load_points(path):
-    data = _load_json(path)
+def _points(data):
     pts = data.get("points") if isinstance(data, dict) else data
     if not pts:
-        raise InputError(f"{path}: no points found")
+        raise ValueError("no points found")
     return [tuple(float(v) for v in p) for p in pts]
 
 
-def load_functional(path) -> MomentFunctional:
+def _load(path, parse, what):
+    """Read a JSON input file and parse it; bad content is an InputError."""
+    if not os.path.exists(path):
+        raise InputError(f"no such file: {path}")
     try:
-        return MomentFunctional.from_json_dict(_load_json(path))
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: parse error at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: invalid moment functional: {exc}") from exc
+        raise InputError(f"{path}: invalid {what}: {exc}") from exc
 
 
 def default_tol() -> float:
@@ -172,26 +146,26 @@ def _run(args) -> tuple[dict, int]:
     sc = getattr(args, "subcommand", None)
 
     if cmd == "norms" and sc == "sup":
-        f = load_polynomial(args.poly)
-        region = load_region(args.region)
+        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
+        region = _load(args.region, Region.from_json_dict, "region")
         res = sup_norm(f, region)
         return ({"value": res.value, "argmax": list(res.argmax),
                  "resolution": res.resolution}, EXIT_OK)
     if cmd == "norms" and sc == "phi":
-        f = load_polynomial(args.poly)
-        phi = load_weight(args.phi)
+        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
+        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
         return ({"value": phi_norm(f, phi)}, EXIT_OK)
     if cmd == "norms" and sc == "rho":
-        f = load_polynomial(args.poly)
+        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
         point = tuple(float(v) for v in args.point.split(","))
         return ({"value": rho_alpha(f, point)}, EXIT_OK)
 
     if cmd == "spectrum" and sc == "kphi-box":
-        phi = load_weight(args.phi)
+        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
         return ({"box": list(kphi_box(phi, args.degree)),
                  "degree": args.degree}, EXIT_OK)
     if cmd == "spectrum" and sc == "hausdorff":
-        pts = load_points(args.points)
+        pts = _load(args.points, _points, "points")
         basis = vanishing_ideal_basis(pts, args.degree, args.tol)
         hausdorff = basis.kernel_dimension == 0
         result = {"hausdorff": hausdorff,
@@ -201,18 +175,19 @@ def _run(args) -> tuple[dict, int]:
         return (result, EXIT_OK if hausdorff else EXIT_VERDICT)
 
     if cmd == "approx" and sc == "tk":
-        f = load_polynomial(args.poly)
-        pts = load_points(args.points)
+        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
+        pts = _load(args.points, _points, "points")
         cert = tk_approximate(f, pts, args.d, args.eps)
         return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
     if cmd == "approx" and sc == "sup":
-        f = load_polynomial(args.poly)
-        region = load_region(args.region)
+        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
+        region = _load(args.region, Region.from_json_dict, "region")
         cert = sup_approximate(f, region, args.d, args.eps, args.max_degree)
         return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
 
     if cmd == "moments" and sc == "check":
-        functional = load_functional(args.moments)
+        functional = _load(args.moments, MomentFunctional.from_json_dict,
+                           "moment functional")
         tol = args.tol if args.tol is not None else default_tol()
         verdict = hankel_psd_check(functional, tol)
         result = {"psd": verdict.psd, "min_eigenvalue": verdict.min_eigenvalue}
@@ -220,8 +195,9 @@ def _run(args) -> tuple[dict, int]:
             result["witness"] = verdict.witness.to_json_dict()
         return (result, EXIT_OK if verdict.psd else EXIT_VERDICT)
     if cmd == "moments" and sc == "recover":
-        functional = load_functional(args.moments)
-        region = load_region(args.region)
+        functional = _load(args.moments, MomentFunctional.from_json_dict,
+                           "moment functional")
+        region = _load(args.region, Region.from_json_dict, "region")
         tol = args.tol if args.tol is not None else 1e-6
         rec = measure_recover(functional, region, tol)
         result = {
@@ -234,22 +210,23 @@ def _run(args) -> tuple[dict, int]:
         }
         return (result, EXIT_OK if rec.success else EXIT_VERDICT)
     if cmd == "moments" and sc == "continuity":
-        functional = load_functional(args.moments)
-        phi = load_weight(args.phi)
+        functional = _load(args.moments, MomentFunctional.from_json_dict,
+                           "moment functional")
+        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
         report = phi_continuity(functional, phi)
         return ({"constant": report.constant,
                  "table": list(report.table)}, EXIT_OK)
 
     if cmd == "compare":
-        region = load_region(args.region)
+        region = _load(args.region, Region.from_json_dict, "region")
         res = lasserre_threshold(region, args.max_degree)
         result = {"found": res.found, "threshold": res.threshold,
                   "bound": res.bound, "ratios": list(res.ratios)}
         return (result, EXIT_OK if res.found else EXIT_VERDICT)
 
     if cmd == "witness":
-        region = load_region(args.region)
-        pts = load_points(args.points)
+        region = _load(args.region, Region.from_json_dict, "region")
+        pts = _load(args.points, _points, "points")
         cert = strictness_witness(pts, region, args.eps, args.degree)
         return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
 
@@ -279,6 +256,10 @@ def main(argv=None) -> int:
         json.dump({"error": str(exc), "verdict": "non-membership"}, sys.stdout)
         print()
         return EXIT_VERDICT
+    except ValueError as exc:
+        json.dump({"error": str(exc)}, sys.stdout)
+        print()
+        return EXIT_INPUT
     report = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),
         "inputs": _input_digests(args),

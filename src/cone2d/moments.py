@@ -5,14 +5,13 @@ nonnegative least squares on a region's sample grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .norms import Region, WeightFunction
-from .poly import Polynomial
+from .poly import Polynomial, design_matrix
 from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
@@ -94,16 +93,9 @@ def from_measure(mu: AtomicMeasure, degree: int) -> MomentFunctional:
     if not mu.atoms:
         raise ValueError("measure has no atoms")
     n = len(mu.atoms[0])
-    moments = {}
-    for exp in monomials_upto(n, degree):
-        total = 0.0
-        for atom, w in zip(mu.atoms, mu.weights):
-            v = w
-            for x, e in zip(atom, exp):
-                v *= x**e
-            total += v
-        moments[exp] = total
-    return MomentFunctional(n, degree, moments)
+    monos = monomials_upto(n, degree)
+    values = np.asarray(mu.weights) @ design_matrix(mu.atoms, monos)
+    return MomentFunctional(n, degree, dict(zip(monos, values.tolist())))
 
 
 def uniform_box_moments(box, degree: int) -> MomentFunctional:
@@ -317,13 +309,7 @@ def measure_recover(functional: MomentFunctional, region: Region,
     if atoms is None or atoms.shape[0] == 0:
         raise ValueError("region has no sample points")
     monos = monomials_upto(functional.n, functional.degree)
-    a = np.empty((len(monos), atoms.shape[0]))
-    for i, exp in enumerate(monos):
-        col = np.ones(atoms.shape[0])
-        for v, e in enumerate(exp):
-            if e:
-                col = col * atoms[:, v] ** e
-        a[i] = col
+    a = design_matrix(atoms, monos).T
     b = np.array([functional.moments[exp] for exp in monos])
     result = nnls(a, b, tol=1e-12)
     keep = result.x > 0
@@ -331,8 +317,3 @@ def measure_recover(functional: MomentFunctional, region: Region,
     return RecoveryResult(measure, result.residual_norm,
                           measure.support_size(), result.converged,
                           result.residual_norm <= tol)
-
-
-def load_functional(path) -> MomentFunctional:
-    with open(path) as fh:
-        return MomentFunctional.from_json_dict(json.load(fh))

@@ -8,7 +8,6 @@ LOWER bounds on the true sup, converging as the resolution shrinks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -321,13 +320,3 @@ def lasserre_threshold(region: Region, max_degree: int) -> LasserreThreshold:
             threshold = j
     return LasserreThreshold(threshold is not None, threshold, m_bound,
                              tuple(ratios))
-
-
-def load_region(path) -> Region:
-    with open(path) as fh:
-        return Region.from_json_dict(json.load(fh))
-
-
-def load_weight(path) -> WeightFunction:
-    with open(path) as fh:
-        return WeightFunction.from_json_dict(json.load(fh))

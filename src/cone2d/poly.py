@@ -20,6 +20,10 @@ import numpy as np
 # Float coefficients below this magnitude are pruned (subnormal guard).
 FLOAT_ZERO_TOL = 1e-300
 
+# evaluate_grid works through the points in blocks of this many rows, so
+# its temporary design matrix stays bounded whatever the grid size.
+GRID_BLOCK_ROWS = 2048
+
 
 class Dyadic:
     """Exact dyadic rational m / 2**k, stored in lowest terms (m odd or k == 0)."""
@@ -133,6 +137,29 @@ class Dyadic:
         if self.k == 0:
             return str(self.m)
         return f"{self.m}/{1 << self.k}"
+
+
+def design_matrix(points, exps) -> np.ndarray:
+    """Monomial design matrix of an (N, n) point array: entry [j, k] is
+    points[j] ** exps[k], as an (N, len(exps)) float array.
+
+    Built from per-variable power tables x_i**0 .. x_i**max_e by repeated
+    multiplication; numpy's ``**`` is many times slower on negative bases.
+    The result is the transpose of a C-ordered (len(exps), N) array.
+    """
+    points = np.asarray(points, dtype=float)
+    exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), points.shape[1])
+    out = np.ones((exps.shape[0], points.shape[0]))
+    for x, col in zip(points.T, exps.T):
+        top = int(col.max(initial=0))
+        if top == 0:
+            continue
+        table = np.empty((top + 1, points.shape[0]))
+        table[0] = 1.0
+        for e in range(1, top + 1):
+            np.multiply(table[e - 1], x, out=table[e])
+        out *= table[col]
+    return out.T
 
 
 def nearest_dyadic(x: float, k: int) -> Dyadic:
@@ -354,13 +381,12 @@ class Polynomial:
             raise ValueError(
                 f"points have dimension {points.shape[1]}, polynomial has {self.n}"
             )
-        out = np.zeros(points.shape[0])
-        for exp, c in self.terms.items():
-            term = np.full(points.shape[0], float(c))
-            for i, e in enumerate(exp):
-                if e:
-                    term *= points[:, i] ** e
-            out += term
+        exps = list(self.terms)
+        coeffs = np.array([float(c) for c in self.terms.values()])
+        out = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], GRID_BLOCK_ROWS):
+            block = points[start:start + GRID_BLOCK_ROWS]
+            out[start:start + block.shape[0]] = design_matrix(block, exps) @ coeffs
         return out
 
     # -- coefficient-mode conversions --

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .norms import WeightFunction
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, design_matrix, grlex_key
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -57,12 +57,9 @@ def kphi_contains(x, phi: WeightFunction, degree: int) -> KphiMembership:
     x = tuple(float(v) for v in x)
     if len(x) != phi.n:
         raise ValueError(f"point dimension {len(x)} != weight dimension {phi.n}")
-    for exp in monomials_upto(phi.n, degree):
-        mono = 1.0
-        for xi, e in zip(x, exp):
-            mono *= xi**e
-        w = phi(exp)
-        if abs(mono) > w * (1 + 1e-12):
+    monos = monomials_upto(phi.n, degree)
+    for exp, mono in zip(monos, design_matrix([x], monos)[0]):
+        if abs(mono) > phi(exp) * (1 + 1e-12):
             return KphiMembership(False, degree, exp)
     return KphiMembership(True, degree, None)
 
@@ -120,14 +117,7 @@ def vanishing_ideal_basis(points, degree: int, tol: float = DEFAULT_RANK_TOL
         raise ValueError(f"degree must be >= 1, got {degree}")
     n = pts.shape[1]
     monos = monomials_upto(n, degree)
-    cols = []
-    for exp in monos:
-        col = np.ones(pts.shape[0])
-        for i, e in enumerate(exp):
-            if e:
-                col = col * pts[:, i] ** e
-        cols.append(col)
-    a = np.stack(cols, axis=1)
+    a = design_matrix(pts, monos)
     scale = np.max(np.abs(a), axis=0)
     scale[scale == 0] = 1.0
     _, sigma, vt = np.linalg.svd(a / scale, full_matrices=True)

@@ -49,6 +49,14 @@ class TestTkApproximate:
         assert cert.success
         assert max(cert.residuals["per_point"]) < 1e-3
 
+    def test_failure_certificate_verifies(self):
+        f = -(X(1, 0) ** 2) - 1
+        cert = tk_approximate(f, [(0.5,), (1.0,)], d=1, eps=0.1)
+        assert not cert.success
+        assert cert.verify()
+        cert.residuals["witness_value"] += 1e-6
+        assert not cert.verify()
+
     def test_certificate_verifies_and_serializes(self):
         cert = tk_approximate(X(1, 0) ** 2 + 2, [(0.5,), (1.5,)], d=2, eps=1e-4)
         assert cert.verify()
@@ -78,6 +86,14 @@ class TestSupApproximate:
         assert not cert.success
         assert cert.residuals["witness_value"] < 0
         assert cert.residuals["witness_point"][0] == -1.0
+
+    def test_failure_certificate_verifies(self):
+        cert = sup_approximate(X(1, 0) - 0.5, self.k11, d=1, eps=0.1,
+                               max_fit_degree=8)
+        assert not cert.success
+        assert cert.verify()
+        cert.residuals["witness_value"] += 1e-6
+        assert not cert.verify()
 
     def test_verify(self):
         f = (X(1, 0) - 0.5) ** 2

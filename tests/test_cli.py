@@ -71,6 +71,30 @@ class TestLoaders:
         assert "line" in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx", "tk", "--poly", "{poly}", "--points", "{pts}", "--eps", "-1"],
+    ["approx", "sup", "--poly", "{poly}", "--region", "{region}", "--eps", "-1"],
+    ["witness", "--region", "{region}", "--points", "{pts}", "--eps", "2"],
+    ["norms", "rho", "--poly", "{poly}", "--point", "1,2"],
+    ["moments", "check", "--moments", "{mom1}"],
+    ["approx", "tk", "--poly", "{poly}", "--points", "{flat}", "--eps", "0.1"],
+    ["spectrum", "hausdorff", "--points", "{flat}", "--degree", "2"],
+], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
+        "tk-flat-points", "hausdorff-flat-points"])
+def test_bad_input_exits_2_with_json_error(files, capsys, argv):
+    paths = {
+        "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
+        "region": files("r.json",
+                        Region.from_box([(0, 1)], resolution=0.05).to_json_dict()),
+        "pts": files("pts.json", {"points": [[0.1], [0.5]]}),
+        "flat": files("flat.json", {"points": [1, 2]}),
+        "mom1": files("m.json", uniform_box_moments([(-1, 1)], 1).to_json_dict()),
+    }
+    code, rep = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert set(rep) == {"error"}
+
+
 class TestApproxCommands:
     def test_tk_success(self, files, capsys):
         poly = files("p.json", (X(1, 0) ** 2 + 1).to_json_dict())

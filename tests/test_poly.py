@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cone2d.poly import Dyadic, Polynomial, dyadic_round, evaluate, nearest_dyadic
+from cone2d.poly import (GRID_BLOCK_ROWS, Dyadic, Polynomial, design_matrix,
+                         dyadic_round, evaluate, nearest_dyadic)
 
 
 def X(n, i):
@@ -130,12 +132,12 @@ class TestDyadicRound:
             dyadic_round(X(1, 0), 0.0)
 
 
-def small_polys(n):
+def small_polys(n, max_exp=3):
     coeff = st.one_of(
         st.integers(-8, 8).map(lambda m: Dyadic(m, 2)),
         st.floats(-4, 4, allow_nan=False, width=32).map(float),
     )
-    exps = st.tuples(*[st.integers(0, 3)] * n)
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
     return st.dictionaries(exps, coeff, min_size=0, max_size=5).map(
         lambda t: Polynomial(n, t)
     )
@@ -149,6 +151,53 @@ def test_eval_is_ring_homomorphism(p, q, x):
     assert abs(evaluate(p * q, x) - prod) <= 1e-9 * (1 + abs(prod))
     total = evaluate(p, x) + evaluate(q, x)
     assert abs(evaluate(p + q, x) - total) <= 1e-9 * (1 + abs(total))
+
+
+def polys_and_points(min_points=0):
+    """An n-variable polynomial (n = 1..3) and points in [-2, 2]**n."""
+    def build(n):
+        coords = st.tuples(*[st.floats(-2, 2, width=32)] * n)
+        return st.tuples(small_polys(n, max_exp=7),
+                         st.lists(coords, min_size=min_points, max_size=12))
+    return st.integers(1, 3).flatmap(build)
+
+
+def assert_matches_pointwise(p, points, values):
+    """Grid values agree with evaluate() to 1e-12 relative to the sum of
+    the absolute term values, the scale of the rounding error of both."""
+    assert len(values) == len(points)
+    for x, v in zip(points, values):
+        scale = sum(abs(float(c)) * math.prod(abs(xi) ** e for xi, e in zip(x, exp))
+                    for exp, c in p.terms.items())
+        assert abs(v - p.evaluate(x)) <= 1e-12 * scale
+
+
+class TestDesignMatrix:
+    def test_dyadic_points_exact(self):
+        pts = [(0.5, -1.5), (-2.0, 0.25), (0.0, 3.0)]
+        exps = [(0, 0), (1, 0), (0, 3), (2, 5), (7, 1)]
+        a = design_matrix(pts, exps)
+        assert a.shape == (3, 5)
+        for j, (x, y) in enumerate(pts):
+            assert list(a[j]) == [x**s * y**t for s, t in exps]
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys_and_points())
+    @example((Polynomial.zero(2), [(1.0, -2.0)]))
+    @example((X(3, 0) * X(3, 2) ** 4 - 1, []))
+    def test_evaluate_grid_matches_pointwise(self, case):
+        p, points = case
+        vals = p.evaluate_grid(np.array(points, dtype=float).reshape(-1, p.n))
+        assert_matches_pointwise(p, points, vals)
+
+    @settings(max_examples=15, deadline=None)
+    @given(polys_and_points(min_points=1))
+    def test_evaluate_grid_across_blocks(self, case):
+        p, points = case
+        rows = GRID_BLOCK_ROWS + 3 * len(points) + 1
+        grid = np.resize(np.array(points, dtype=float), (rows, p.n))
+        vals = p.evaluate_grid(grid)
+        assert_matches_pointwise(p, [tuple(x) for x in grid], vals)
 
 
 @settings(max_examples=40, deadline=None)
