@@ -250,11 +250,8 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     lam_tilde = [nearest_dyadic(l, kbits) for l in lam]
 
     c = Polynomial.zero(f.n)
-    b_pow = Polynomial.constant(f.n, Dyadic(1))
-    for j, lt in enumerate(lam_tilde):
-        if j > 0:
-            b_pow = b_pow * b
-        c = c + Polynomial.constant(f.n, lt) * b_pow
+    for lt in reversed(lam_tilde):
+        c = c * b + lt
 
     residuals = [abs(f.evaluate(p) - 2.0 ** (2 * d * m) * c.evaluate(p) ** (2 * d))
                  for p in pts]

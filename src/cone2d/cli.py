@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -39,11 +40,19 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
+def _finite(v) -> float:
+    """float(v), rejecting infinities and NaN: reports must stay strict JSON."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {v!r}")
+    return x
+
+
 def _points(data):
     pts = data.get("points") if isinstance(data, dict) else data
     if not pts:
         raise ValueError("no points found")
-    return [tuple(float(v) for v in p) for p in pts]
+    return [tuple(_finite(v) for v in p) for p in pts]
 
 
 def _load(path, parse, what):
@@ -52,7 +61,8 @@ def _load(path, parse, what):
         raise InputError(f"no such file: {path}")
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_float=_finite,
+                                   parse_constant=_finite))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
@@ -157,7 +167,7 @@ def _run(args) -> tuple[dict, int]:
         return ({"value": phi_norm(f, phi)}, EXIT_OK)
     if cmd == "norms" and sc == "rho":
         f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        point = tuple(float(v) for v in args.point.split(","))
+        point = tuple(_finite(v) for v in args.point.split(","))
         return ({"value": rho_alpha(f, point)}, EXIT_OK)
 
     if cmd == "spectrum" and sc == "kphi-box":
@@ -242,24 +252,21 @@ def _input_digests(args) -> dict:
     return digests
 
 
+def _error(payload: dict, code: int) -> int:
+    print(json.dumps(payload))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
         result, code = _run(args)
-    except InputError as exc:
-        json.dump({"error": str(exc)}, sys.stdout)
-        print()
-        return EXIT_INPUT
     except PsdViolationError as exc:
-        json.dump({"error": str(exc), "verdict": "non-membership"}, sys.stdout)
-        print()
-        return EXIT_VERDICT
-    except ValueError as exc:
-        json.dump({"error": str(exc)}, sys.stdout)
-        print()
-        return EXIT_INPUT
+        return _error({"error": str(exc), "verdict": "non-membership"}, EXIT_VERDICT)
+    except (InputError, ValueError, OverflowError) as exc:
+        return _error({"error": str(exc)}, EXIT_INPUT)
     report = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),
         "inputs": _input_digests(args),
@@ -268,8 +275,11 @@ def main(argv=None) -> int:
     }
     if not args.no_timestamp:
         report["wall_time_s"] = time.monotonic() - start
-    json.dump(report, sys.stdout, sort_keys=True)
-    print()
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        return _error({"error": f"result is not strict JSON: {exc}"}, EXIT_INPUT)
+    print(text)
     if args.summary:
         print(f"cone2d {args.command}: exit {code}", file=sys.stderr)
     return code

@@ -76,7 +76,8 @@ class WeightFunction:
     def lasserre(cls, n: int) -> "WeightFunction":
         return cls(n, "lasserre")
 
-    def _raw(self, exp) -> float:
+    def _raw(self, exp) -> float | None:
+        """Weight at exp; None where a table weight has no entry."""
         if self.kind == "one":
             return 1.0
         if self.kind == "geometric":
@@ -86,16 +87,19 @@ class WeightFunction:
             return v
         if self.kind == "lasserre":
             return float(lasserre_weight(sum(exp)))
-        v = self.table.get(tuple(exp))
-        if v is None:
-            raise KeyError(f"table weight has no entry for exponent {list(exp)}")
-        return v
+        return self.table.get(tuple(exp))
 
     def __call__(self, exp) -> float:
         exp = tuple(int(e) for e in exp)
         if len(exp) != self.n:
             raise ValueError(f"exponent length {len(exp)} != n = {self.n}")
-        v = self._raw(exp)
+        try:
+            v = self._raw(exp)
+        except OverflowError:
+            raise ValueError(f"weight at exponent {list(exp)} exceeds the "
+                             f"float range") from None
+        if v is None:
+            raise ValueError(f"table weight has no entry for exponent {list(exp)}")
         if self.is_absolute_value and self.kind == "table":
             self._lazy_check(exp, v)
         return v
@@ -103,9 +107,8 @@ class WeightFunction:
     def _lazy_check(self, exp, v):
         for t in self._seen + [exp]:
             st = tuple(a + b for a, b in zip(exp, t))
-            try:
-                vst = self._raw(st)
-            except KeyError:
+            vst = self._raw(st)
+            if vst is None:
                 continue
             if vst > v * self._raw(t) * (1 + 1e-12):
                 raise ValueError(

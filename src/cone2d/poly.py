@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -180,27 +181,6 @@ def _is_zero_coeff(c) -> bool:
     return abs(c) < FLOAT_ZERO_TOL
 
 
-def _coeff_add(a, b):
-    """Add two coefficients; second return flags dyadic-to-float demotion."""
-    if isinstance(a, Dyadic) and isinstance(b, Dyadic):
-        return a + b, False
-    if isinstance(a, Dyadic):
-        return float(a) + b, True
-    if isinstance(b, Dyadic):
-        return a + float(b), True
-    return a + b, False
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, Dyadic) and isinstance(b, Dyadic):
-        return a * b, False
-    if isinstance(a, Dyadic):
-        return float(a) * b, True
-    if isinstance(b, Dyadic):
-        return a * float(b), True
-    return a * b, False
-
-
 def _as_coeff(c):
     """Normalize a scalar into a coefficient: int -> Dyadic, float stays float."""
     if isinstance(c, (Dyadic, float)):
@@ -282,14 +262,12 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         self._check_dim(other)
         terms = dict(self.terms)
-        demoted = self.demoted or other.demoted
         for exp, c in other.terms.items():
-            if exp in terms:
-                s, dem = _coeff_add(terms[exp], c)
-                demoted = demoted or dem
-                terms[exp] = s
-            else:
-                terms[exp] = c
+            prev = terms.get(exp)
+            terms[exp] = c if prev is None else prev + c
+        demoted = self.demoted or other.demoted or any(
+            isinstance(self.terms[exp], Dyadic) != isinstance(other.terms[exp], Dyadic)
+            for exp in self.terms.keys() & other.terms.keys())
         return Polynomial(self.n, terms, demoted)
 
     __radd__ = __add__
@@ -310,19 +288,18 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         self._check_dim(other)
         terms = {}
-        demoted = self.demoted or other.demoted
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod, dem1 = _coeff_mul(c1, c2)
-                demoted = demoted or dem1
-                if exp in terms:
-                    s, dem2 = _coeff_add(terms[exp], prod)
-                    demoted = demoted or dem2
-                    terms[exp] = s
-                else:
-                    terms[exp] = prod
-        return Polynomial(self.n, terms, demoted)
+                exp = tuple(map(operator.add, e1, e2))
+                prod = c1 * c2
+                prev = terms.get(exp)
+                terms[exp] = prod if prev is None else prev + prod
+        # Every product has one kind unless some pair mixes a Dyadic with a
+        # float, so only such a pair can demote, in a product or a sum.
+        kinds = {isinstance(c, Dyadic)
+                 for c in (*self.terms.values(), *other.terms.values())}
+        mixed = bool(self.terms) and bool(other.terms) and len(kinds) == 2
+        return Polynomial(self.n, terms, self.demoted or other.demoted or mixed)
 
     __rmul__ = __mul__
 
@@ -334,9 +311,8 @@ class Polynomial:
         while p:
             if p & 1:
                 result = result * base
-            base_needed = p > 1
             p >>= 1
-            if base_needed and p:
+            if p:
                 base = base * base
         return result
 
@@ -368,7 +344,7 @@ class Polynomial:
         for exp, c in self.terms.items():
             v = c
             for xi, e in zip(x, exp):
-                v = v * (Dyadic.from_float(xi) if not isinstance(xi, Dyadic) else xi) ** e
+                v = v * Dyadic.from_float(xi) ** e
             total = total + v
         return total
 
@@ -393,8 +369,7 @@ class Polynomial:
 
     def to_exact(self) -> "Polynomial":
         """Exact float->dyadic conversion of every coefficient (lossless)."""
-        return Polynomial(self.n, {e: Dyadic.from_float(c) if not isinstance(c, Dyadic) else c
-                                   for e, c in self.terms.items()})
+        return Polynomial(self.n, {e: Dyadic.from_float(c) for e, c in self.terms.items()})
 
     def to_float(self) -> "Polynomial":
         return Polynomial(self.n, {e: float(c) for e, c in self.terms.items()})
@@ -418,18 +393,9 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.n != other.n or set(self.terms) != set(other.terms):
-            return False
-        for exp, c in self.terms.items():
-            d = other.terms[exp]
-            if isinstance(c, Dyadic) != isinstance(d, Dyadic):
-                return False
-            if isinstance(c, Dyadic):
-                if c != d:
-                    return False
-            elif c != d:
-                return False
-        return True
+        return (self.n == other.n and self.terms.keys() == other.terms.keys()
+                and all(isinstance(c, Dyadic) == isinstance(other.terms[e], Dyadic)
+                        and c == other.terms[e] for e, c in self.terms.items()))
 
     def __hash__(self):
         return hash((self.n, tuple(self.terms), tuple(float(c) for c in self.terms.values())))

@@ -79,8 +79,20 @@ class TestLoaders:
     ["moments", "check", "--moments", "{mom1}"],
     ["approx", "tk", "--poly", "{poly}", "--points", "{flat}", "--eps", "0.1"],
     ["spectrum", "hausdorff", "--points", "{flat}", "--degree", "2"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{table}"],
+    ["spectrum", "kphi-box", "--phi", "{table}", "--degree", "3"],
+    ["moments", "continuity", "--moments", "{mom4}", "--phi", "{table}"],
+    ["spectrum", "kphi-box", "--phi", "{lasserre}", "--degree", "200"],
+    ["norms", "rho", "--poly", "{poly}", "--point", "inf"],
+    ["norms", "rho", "--poly", "{nan_poly}", "--point", "1"],
+    ["approx", "tk", "--poly", "{poly}", "--points", "{inf_pts}", "--eps", "0.1"],
+    ["norms", "rho", "--poly", "{poly}", "--point", "1e200"],
+    ["norms", "rho", "--poly", "{big_poly}", "--point", "10"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
-        "tk-flat-points", "hausdorff-flat-points"])
+        "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
+        "kphi-box-table-missing", "continuity-table-missing",
+        "kphi-box-lasserre-overflow", "rho-inf-point", "nan-coefficient",
+        "inf-point-string", "rho-overflow", "rho-infinite-result"])
 def test_bad_input_exits_2_with_json_error(files, capsys, argv):
     paths = {
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
@@ -89,6 +101,15 @@ def test_bad_input_exits_2_with_json_error(files, capsys, argv):
         "pts": files("pts.json", {"points": [[0.1], [0.5]]}),
         "flat": files("flat.json", {"points": [1, 2]}),
         "mom1": files("m.json", uniform_box_moments([(-1, 1)], 1).to_json_dict()),
+        "mom4": files("m4.json", uniform_box_moments([(-1, 1)], 4).to_json_dict()),
+        "table": files("w.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [1], "val": 1.0}]}),
+        "lasserre": files("l.json", {"kind": "lasserre", "n": 1}),
+        "nan_poly": files("nan.json", {"n": 1, "terms": [
+            {"coeff": float("nan"), "exp": [1]}]}),
+        "inf_pts": files("inf_pts.json", {"points": [["inf"]]}),
+        "big_poly": files("big.json", {"n": 1, "terms": [
+            {"coeff": 1e308, "exp": [1]}]}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

@@ -79,6 +79,15 @@ class TestPhiNorm:
         with pytest.raises(ValueError, match="violation"):
             w((1,))
 
+    def test_missing_or_overflowing_weight_is_value_error(self):
+        w = WeightFunction(1, "table", table={(0,): 1.0, (1,): 0.5},
+                           is_absolute_value=True)
+        assert w((1,)) == 0.5  # the lazy check skips the absent w((2,))
+        with pytest.raises(ValueError, match="no entry"):
+            w((2,))
+        with pytest.raises(ValueError, match="float range"):
+            WeightFunction.lasserre(1)((200,))
+
     def test_geometric(self):
         phi = WeightFunction.geometric((2.0, 0.5))
         f = X(2, 0) * X(2, 1) ** 2

@@ -200,6 +200,54 @@ class TestDesignMatrix:
         assert_matches_pointwise(p, [tuple(x) for x in grid], vals)
 
 
+def kind_mixed_polys(n=2):
+    """Polynomials whose coefficients mix Dyadic, float and np.float64,
+    with the input ``demoted`` flag drawn too."""
+    coeff = st.one_of(
+        st.integers(-8, 8).map(lambda m: Dyadic(m, 1)),
+        st.floats(-4, 4, allow_nan=False, width=32).map(float),
+        st.floats(-4, 4, allow_nan=False, width=32).map(np.float64),
+    )
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return st.builds(Polynomial, st.just(n),
+                     st.dictionaries(exps, coeff, max_size=5), st.booleans())
+
+
+def reference_kinds(pairs, demoted):
+    """Per-pair reference for a sum or product: ``pairs`` lists
+    (exponent, a, b) for every contributing coefficient pair, b None for a
+    lone summand.  A pair demotes when it mixes a Dyadic with a float, and
+    so does accumulating an exact value with an inexact one.  Returns the
+    demoted flag and, per exponent, whether every pair was Dyadic x Dyadic."""
+    exact = {}
+    for exp, a, b in pairs:
+        pair_exact = isinstance(a, Dyadic) and (b is None or isinstance(b, Dyadic))
+        if b is not None and isinstance(a, Dyadic) != isinstance(b, Dyadic):
+            demoted = True
+        if exp in exact and exact[exp] != pair_exact:
+            demoted = True
+        exact[exp] = exact.get(exp, True) and pair_exact
+    return demoted, exact
+
+
+def assert_kinds(result, reference):
+    demoted, exact = reference
+    assert result.demoted == demoted
+    for exp, c in result.terms.items():
+        assert isinstance(c, Dyadic) == exact[exp]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind_mixed_polys(), kind_mixed_polys())
+def test_demoted_flag_and_coefficient_kind(p, q):
+    products = [(tuple(a + b for a, b in zip(e1, e2)), c1, c2)
+                for e1, c1 in p.terms.items() for e2, c2 in q.terms.items()]
+    assert_kinds(p * q, reference_kinds(products, p.demoted or q.demoted))
+    sums = [(e, c, q.terms.get(e)) for e, c in p.terms.items()]
+    sums += [(e, c, None) for e, c in q.terms.items() if e not in p.terms]
+    assert_kinds(p + q, reference_kinds(sums, p.demoted or q.demoted))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_polys(2), small_polys(2))
 def test_dyadic_addition_exact(p, q):
