@@ -3,8 +3,9 @@
 
 Each operation returns a Certificate holding the constructed element's
 structural decomposition (so cone membership can be checked
-syntactically), the echoed parameters, and measured residuals that
-``verify`` can recompute from the decomposition alone.
+syntactically), the echoed parameters, and measured residuals.  Each
+kind's residuals are defined once, in ``recompute_residuals``: the
+constructors fill them from it and ``verify`` re-runs it.
 """
 
 from __future__ import annotations
@@ -61,74 +62,31 @@ class Certificate:
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def recompute_residuals(self) -> dict:
+        """Residuals of the stored decomposition against the params."""
+        p, d = self.params, self.decomposition
         if "witness_point" in self.residuals:
             # A failure certificate stores only the point refuting positivity.
-            f = self.params["f"]
-            return {"witness_value": f.evaluate(self.residuals["witness_point"])}
+            return {"witness_value": p["f"].evaluate(self.residuals["witness_point"])}
         if self.kind == "tk":
-            m, c, d = (self.decomposition[k] for k in ("m", "c", "d"))
-            f = self.params["f"]
-            out = {}
-            per_point = []
-            for p in self.params["points"]:
-                val = 2.0 ** (2 * d * m) * c.evaluate(p) ** (2 * d)
-                per_point.append(abs(f.evaluate(p) - val))
-            out["per_point"] = per_point
-            return out
+            scale, c, power = 2.0 ** (2 * d["d"] * d["m"]), d["c"], 2 * d["d"]
+            return _per_point(p["f"], lambda pt: scale * c.evaluate(pt) ** power,
+                              p["points"])
         if self.kind == "sup":
-            b, d = self.decomposition["b"], self.decomposition["d"]
-            f, region = self.params["f"], self.params["region"]
-            fv = f.evaluate_grid(region.sample_points)
-            bv = b.evaluate_grid(region.sample_points) ** (2 * d)
-            gap = np.abs(fv - bv)
-            i = int(np.argmax(gap))
-            return {"sup": float(gap[i]),
-                    "argmax": tuple(region.sample_points[i])}
+            samples = p["region"].sample_points
+            return _power_gap(p["f"].evaluate_grid(samples), d["b"], d["d"], samples)
         if self.kind == "series":
-            q = self.decomposition["q"]
-            d = self.decomposition["d"]
-            r, sign = self.params["r"], self.params["sign"]
-            phi = self.params["phi"]
-            a = self.params["a"]
-            target = Polynomial.constant(a.n, float(r)) + sign * a
-            return {"phi_norm_error": phi_norm(q ** (2 * d) - target, phi),
-                    "tail_bound": self.residuals["tail_bound"],
-                    "series_tail": self.residuals["series_tail"]}
+            return _series_residuals(p, d["q"])
         if self.kind == "module":
-            p = _module_element(self.params, self.decomposition)
-            a = self.params["a"]
-            return {"per_point": [abs(p.evaluate(pt) - a.evaluate(pt))
-                                  for pt in self.params["points"]]}
+            return _per_point(p["a"], _module_element(p, d).evaluate, p["points"])
         if self.kind == "witness":
-            a = self.decomposition["a"]
-            region = self.params["region"]
-            max_at = max(abs(a.evaluate(p)) for p in self.params["points"])
-            return {"max_at_points": max_at,
-                    "sup_norm": float(sup_norm(a, region))}
+            return {"max_at_points": max(abs(d["a"].evaluate(pt)) for pt in p["points"]),
+                    "sup_norm": sup_norm(d["a"], p["region"]).value}
         raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def verify(self, tol: float = VERIFY_TOL) -> bool:
         """Recompute residuals from the stored decomposition and compare."""
         fresh = self.recompute_residuals()
-        for key, val in fresh.items():
-            stored = self.residuals[key]
-            if isinstance(val, (list, tuple)) and not isinstance(val, str):
-                stored_seq = list(stored)
-                val_seq = list(val)
-                if len(stored_seq) != len(val_seq):
-                    return False
-                for u, v in zip(val_seq, stored_seq):
-                    u = float(u) if not isinstance(u, tuple) else u
-                    if isinstance(u, tuple):
-                        continue
-                    if abs(u - float(v)) > tol * (1 + abs(float(v))):
-                        return False
-            elif isinstance(val, tuple):
-                continue
-            else:
-                if abs(float(val) - float(stored)) > tol * (1 + abs(float(stored))):
-                    return False
-        return True
+        return all(_close(val, self.residuals[key], tol) for key, val in fresh.items())
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,12 +99,17 @@ class Certificate:
         }
 
 
+def _close(fresh, stored, tol) -> bool:
+    """Entrywise |fresh - stored| <= tol * (1 + |stored|) over nested
+    sequences; a NaN difference (inf against inf) passes."""
+    if isinstance(fresh, (list, tuple)):
+        return len(fresh) == len(stored) and all(
+            _close(u, v, tol) for u, v in zip(fresh, stored))
+    return not abs(float(fresh) - float(stored)) > tol * (1 + abs(float(stored)))
+
+
 def _jsonify(obj):
-    if isinstance(obj, Polynomial):
-        return obj.to_json_dict()
-    if isinstance(obj, Region):
-        return obj.to_json_dict()
-    if isinstance(obj, WeightFunction):
+    if isinstance(obj, (Polynomial, Region, WeightFunction)):
         return obj.to_json_dict()
     if isinstance(obj, Dyadic):
         return str(obj)
@@ -156,9 +119,67 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (float, np.floating)):
+        # Strict JSON has no infinities or NaN: they become "inf", "-inf", "nan".
+        return float(obj) if math.isfinite(obj) else str(float(obj))
+    if isinstance(obj, np.integer):
         return obj.item()
     return obj
+
+
+def _checked(kind: str, params: dict, decomposition: dict, passes) -> Certificate:
+    """Certificate whose residuals come from ``recompute_residuals`` and
+    whose success is ``passes(residuals)``."""
+    cert = Certificate(kind, False, params, decomposition, {})
+    cert.residuals = cert.recompute_residuals()
+    cert.success = bool(passes(cert.residuals))
+    return cert
+
+
+def _not_psd(kind: str, params: dict, point, value, where: str) -> Certificate:
+    """Failure certificate naming a point where f is too negative."""
+    return Certificate(kind, False, params, {},
+                       {"witness_point": point, "witness_value": float(value)},
+                       message=f"not Psd {where}: f{point} = {value}")
+
+
+def _per_point(target: Polynomial, value_at, points) -> dict:
+    return {"per_point": [abs(target.evaluate(pt) - value_at(pt)) for pt in points]}
+
+
+def _power_gap(fvals, b: Polynomial, d: int, samples) -> dict:
+    """Sampled sup of |f - b**(2d)| from f's values on the samples."""
+    gap = np.abs(fvals - b.evaluate_grid(samples) ** (2 * d))
+    i = int(np.argmax(gap))
+    return {"sup": float(gap[i]), "argmax": tuple(samples[i])}
+
+
+def _binomial_coeffs(r: float, d: int, n_terms: int, sign: int) -> list:
+    """lam[i] = r**alpha * binom(alpha, i) * (sign / r)**i with
+    alpha = 1/(2d), for i = 0 .. n_terms + 1 (the last one bounds the tail)."""
+    alpha = 1.0 / (2 * d)
+    lam = [r**alpha]
+    binom = 1.0
+    for i in range(n_terms + 1):
+        binom *= (alpha - i) / (i + 1)
+        lam.append(r**alpha * binom * (sign / r) ** (i + 1))
+    return lam
+
+
+def _series_residuals(params: dict, q: Polynomial) -> dict:
+    r, a, d, n_terms, phi, sign = (params[k] for k in ("r", "a", "d", "N", "phi", "sign"))
+    norm_a = phi_norm(a, phi)
+    # |lam[i+1]| <= |lam[i]| / r since |(alpha - i)/(i + 1)| <= 1, so the
+    # tail is dominated by a geometric series with ratio ||a|| / r; the
+    # bound degenerates to +inf on the boundary ||a|| = r.
+    ratio = norm_a / r
+    series_tail = (abs(_binomial_coeffs(r, d, n_terms, sign)[-1])
+                   * norm_a ** (n_terms + 1) / (1 - ratio) if ratio < 1 else math.inf)
+    power_tail = (series_tail * 2 * d * (phi_norm(q, phi) + series_tail) ** (2 * d - 1)
+                  if math.isfinite(series_tail) else math.inf)
+    target = Polynomial.constant(a.n, r) + sign * a
+    return {"phi_norm_error": phi_norm(q ** (2 * d) - target, phi),
+            "tail_bound": power_tail, "series_tail": series_tail}
 
 
 def _module_element(params, decomposition) -> Polynomial:
@@ -220,12 +241,7 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
         shift = Dyadic(1, shift_k)
         if min(vals) + float(shift) <= 0:
             i = int(np.argmin(vals))
-            return Certificate(
-                "tk", False, params, {}, {"witness_point": pts[i],
-                                          "witness_value": vals[i]},
-                message=(f"not Psd at the points within eps/2: "
-                         f"f{pts[i]} = {vals[i]}"),
-            )
+            return _not_psd("tk", params, pts[i], vals[i], "at the points within eps/2")
         work = f_exact + Polynomial.constant(f.n, shift)
         vals = [v + float(shift) for v in vals]
 
@@ -253,12 +269,10 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     for lt in reversed(lam_tilde):
         c = c * b + lt
 
-    residuals = [abs(f.evaluate(p) - 2.0 ** (2 * d * m) * c.evaluate(p) ** (2 * d))
-                 for p in pts]
     decomposition = {"m": m, "c": c, "d": d, "shift_k": shift_k,
                      "coeffs": lam_tilde, "nodes": nodes}
-    return Certificate("tk", max(residuals) < eps, params, decomposition,
-                       {"per_point": residuals})
+    return _checked("tk", params, decomposition,
+                    lambda res: max(res["per_point"]) < eps)
 
 
 def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
@@ -280,13 +294,8 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
               "max_fit_degree": max_fit_degree}
     imin = int(np.argmin(fvals))
     if fvals[imin] < -eps / 4:
-        return Certificate(
-            "sup", False, params, {},
-            {"witness_point": tuple(samples[imin]),
-             "witness_value": float(fvals[imin])},
-            message=(f"not Psd on the region within eps/4: "
-                     f"f{tuple(samples[imin])} = {fvals[imin]}"),
-        )
+        return _not_psd("sup", params, tuple(samples[imin]), fvals[imin],
+                        "on the region within eps/4")
 
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
@@ -297,19 +306,13 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     coeffs = coeffs / scale
     b = Polynomial(f.n, {exp: float(ci) for exp, ci in zip(monos, coeffs)})
 
-    bvals = b.evaluate_grid(samples) ** (2 * d)
-    gap = np.abs(fvals - bvals)
-    i = int(np.argmax(gap))
-    residual = float(gap[i])
+    residuals = _power_gap(fvals, b, d, samples)
     message = ""
     if rank < len(monos):
         message = f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
-    return Certificate(
-        "sup", residual < eps, params,
-        {"b": b, "d": d, "fit_degree": max_fit_degree},
-        {"sup": residual, "argmax": tuple(samples[i])},
-        message=message,
-    )
+    return Certificate("sup", residuals["sup"] < eps, params,
+                       {"b": b, "d": d, "fit_degree": max_fit_degree},
+                       residuals, message=message)
 
 
 def series_root(r: float, a: Polynomial, d: int, n_terms: int,
@@ -332,43 +335,17 @@ def series_root(r: float, a: Polynomial, d: int, n_terms: int,
     if norm_a > r:
         raise ValueError(f"series requires ||a||_phi < r: {norm_a} > {r}")
 
-    alpha = 1.0 / (2 * d)
-    # lam[i] = r**alpha * binom(alpha, i) * (sign / r)**i
-    lam = [r**alpha]
-    binom = 1.0
-    for i in range(n_terms + 1):
-        binom *= (alpha - i) / (i + 1)
-        lam.append(r**alpha * binom * (sign / r) ** (i + 1))
-
+    params = {"r": float(r), "a": a, "d": d, "N": n_terms, "phi": phi,
+              "sign": sign}
+    lam = _binomial_coeffs(params["r"], d, n_terms, sign)
     q = Polynomial.zero(a.n)
     a_pow = Polynomial.constant(a.n, 1)
     for i in range(n_terms + 1):
         if i > 0:
             a_pow = a_pow * a
         q = q + lam[i] * a_pow
-
-    # |lam[i+1]| <= |lam[i]| / r since |(alpha - i)/(i + 1)| <= 1, so the
-    # tail is dominated by a geometric series with ratio ||a|| / r; the
-    # bound degenerates to +inf on the boundary ||a|| = r.
-    ratio = norm_a / r
-    if ratio < 1:
-        series_tail = abs(lam[n_terms + 1]) * norm_a ** (n_terms + 1) / (1 - ratio)
-    else:
-        series_tail = math.inf
-    norm_q = phi_norm(q, phi)
-    power_tail = (series_tail * 2 * d
-                  * (norm_q + series_tail) ** (2 * d - 1)
-                  if math.isfinite(series_tail) else math.inf)
-
-    target = Polynomial.constant(a.n, float(r)) + sign * a
-    measured = phi_norm(q ** (2 * d) - target, phi)
-    residuals = {"phi_norm_error": measured, "tail_bound": power_tail,
-                 "series_tail": series_tail}
-    params = {"r": float(r), "a": a, "d": d, "N": n_terms, "phi": phi,
-              "sign": sign}
-    return Certificate("series", True, params,
-                       {"q": q, "d": d, "coeffs": lam[: n_terms + 1]},
-                       residuals)
+    return _checked("series", params, {"q": q, "d": d, "coeffs": lam[: n_terms + 1]},
+                    lambda res: True)
 
 
 def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate:
@@ -432,10 +409,8 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
                   for j in range(k)]
     params = {"a": a, "generators": generators, "points": pts, "d": d}
     decomposition = {"d": d, "components": components}
-    p_total = _module_element(params, decomposition)
-    residuals = [abs(p_total.evaluate(p) - v) for p, v in zip(pts, avals)]
-    return Certificate("module", max(residuals) < 1e-9, params, decomposition,
-                       {"per_point": residuals})
+    return _checked("module", params, decomposition,
+                    lambda res: max(res["per_point"]) < 1e-9)
 
 
 def strictness_witness(points, region: Region, eps: float,
@@ -483,17 +458,14 @@ def strictness_witness(points, region: Region, eps: float,
         x = x0
     a_poly = Polynomial(region.n, {exp: float(ci) for exp, ci in zip(monos, x)})
 
-    max_at = max(abs(a_poly.evaluate(p)) for p in point_list)
-    sup = sup_norm(a_poly, region)
-    success = feas <= 1e-8 and max_at <= eps and sup.value >= 1 - eps
-    message = "" if success else (
-        f"fit degree {fit_degree} too small: |a| at points {max_at}, "
-        f"sup {sup.value}, constraint feasibility {feas}"
-    )
-    return Certificate("witness", success, params,
-                       {"a": a_poly, "beta": beta},
-                       {"max_at_points": max_at, "sup_norm": sup.value},
-                       message=message)
+    cert = _checked("witness", params, {"a": a_poly, "beta": beta},
+                    lambda res: feas <= 1e-8 and res["max_at_points"] <= eps
+                    and res["sup_norm"] >= 1 - eps)
+    if not cert.success:
+        cert.message = (f"fit degree {fit_degree} too small: |a| at points "
+                        f"{cert.residuals['max_at_points']}, sup "
+                        f"{cert.residuals['sup_norm']}, constraint feasibility {feas}")
+    return cert
 
 
 @dataclass

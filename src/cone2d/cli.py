@@ -40,11 +40,11 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
-def _finite(v) -> float:
+def _finite(v, what="number") -> float:
     """float(v), rejecting infinities and NaN: reports must stay strict JSON."""
     x = float(v)
     if not math.isfinite(x):
-        raise ValueError(f"non-finite number {v!r}")
+        raise ValueError(f"non-finite {what} {v!r}")
     return x
 
 
@@ -71,7 +71,7 @@ def _load(path, parse, what):
 
 
 def default_tol() -> float:
-    return float(os.environ.get("CONE2D_TOL", "1e-9"))
+    return _finite(os.environ.get("CONE2D_TOL", "1e-9"), "CONE2D_TOL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> tuple[dict, int]:
     cmd = args.command
     sc = getattr(args, "subcommand", None)
+    for opt in ("eps", "tol"):
+        if getattr(args, opt, None) is not None:
+            _finite(getattr(args, opt), "--" + opt)
 
     if cmd == "norms" and sc == "sup":
         f = _load(args.poly, Polynomial.from_json_dict, "polynomial")

@@ -25,6 +25,9 @@ FLOAT_ZERO_TOL = 1e-300
 # its temporary design matrix stays bounded whatever the grid size.
 GRID_BLOCK_ROWS = 2048
 
+# Operands that a Dyadic meets as float(self); others get NotImplemented.
+_FLOATS = (float, np.floating, np.integer)
+
 
 class Dyadic:
     """Exact dyadic rational m / 2**k, stored in lowest terms (m odd or k == 0)."""
@@ -64,7 +67,7 @@ class Dyadic:
         if isinstance(other, Dyadic):
             k = max(self.k, other.k)
             return Dyadic(self.m * (1 << (k - self.k)) + other.m * (1 << (k - other.k)), k)
-        return float(self) + other
+        return float(self) + other if isinstance(other, _FLOATS) else NotImplemented
 
     __radd__ = __add__
 
@@ -72,7 +75,9 @@ class Dyadic:
         return Dyadic(-self.m, self.k)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (Dyadic, int)) else -float(other))
+        if isinstance(other, (Dyadic, int)):
+            return self + -other
+        return self + -float(other) if isinstance(other, _FLOATS) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -82,7 +87,7 @@ class Dyadic:
             other = Dyadic(other)
         if isinstance(other, Dyadic):
             return Dyadic(self.m * other.m, self.k + other.k)
-        return float(self) * other
+        return float(self) * other if isinstance(other, _FLOATS) else NotImplemented
 
     __rmul__ = __mul__
 

@@ -100,6 +100,15 @@ class TestSupApproximate:
         cert = sup_approximate(f, self.k01, d=1, eps=0.1, max_fit_degree=8)
         assert cert.verify()
 
+    def test_f_evaluated_once_on_samples(self, monkeypatch):
+        f = (X(1, 0) - 0.5) ** 2
+        grid = Polynomial.evaluate_grid
+        calls = []
+        monkeypatch.setattr(Polynomial, "evaluate_grid",
+                            lambda p, pts: calls.append(p is f) or grid(p, pts))
+        sup_approximate(f, self.k01, d=1, eps=0.1, max_fit_degree=8)
+        assert calls.count(True) == 1
+
 
 class TestSeriesRoot:
     def test_binomial_coefficients_order_two(self):
@@ -148,6 +157,15 @@ class TestSeriesRoot:
         cert = series_root(1.0, X(1, 0), d=1, n_terms=2,
                            phi=WeightFunction.one(1))
         assert math.isinf(cert.residuals["tail_bound"])
+
+    def test_boundary_certificate_is_strict_json(self):
+        cert = series_root(1.0, X(1, 0), d=1, n_terms=2,
+                           phi=WeightFunction.one(1))
+        assert cert.verify()
+        residuals = json.loads(json.dumps(cert.to_json_dict(),
+                                          allow_nan=False))["residuals"]
+        assert residuals["tail_bound"] == residuals["series_tail"] == "inf"
+        assert math.isfinite(residuals["phi_norm_error"])
 
 
 class TestModuleInterpolate:
@@ -210,6 +228,16 @@ class TestStrictnessWitness:
         cert = strictness_witness([(0.5,)], k, eps=0.1, fit_degree=6)
         assert cert.verify()
 
+    def test_infeasible_constraints_serialize(self):
+        # Four points cannot all be zeros of a nonzero quadratic.
+        k = Region.from_box([(0, 1)], resolution=0.01)
+        cert = strictness_witness([(0.1,), (0.2,), (0.3,), (0.4,)], k,
+                                  eps=0.1, fit_degree=2)
+        assert cert.success is False
+        assert "feasibility" in cert.message
+        assert cert.verify()
+        json.dumps(cert.to_json_dict(), allow_nan=False)
+
 
 class TestPsdOnFattening:
     def test_square_at_origin_member(self):
@@ -235,3 +263,42 @@ class TestPsdOnFattening:
         k = Region.from_points([(0.0,)])
         with pytest.raises(ValueError):
             psd_on_fattening(X(1, 0), k, [0.2, 0.1])
+
+
+def _sample_certificates():
+    x = X(1, 0)
+    k01 = Region.from_box([(0, 1)], resolution=0.01)
+    return {
+        "tk": lambda: tk_approximate(x ** 2 + 2, [(0.5,), (1.5,)], d=2, eps=1e-4),
+        "sup": lambda: sup_approximate((x - 0.5) ** 2, k01, d=1, eps=0.1,
+                                       max_fit_degree=8),
+        "series": lambda: series_root(1.0, 0.5 * x, 1, 3, WeightFunction.one(1)),
+        "module": lambda: module_interpolate(x ** 2 - 1, [x ** 2 - 1],
+                                             [(-3,), (0,), (2,)], d=1),
+        "witness": lambda: strictness_witness([(0.5,)], k01, eps=0.1,
+                                              fit_degree=6),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_sample_certificates()))
+def test_verify_rejects_each_tampered_residual(kind):
+    """verify() recomputes every stored residual entry: moving any single
+    one by 1e-6 * (1 + |value|), far above its tolerance, is caught."""
+    cert = _sample_certificates()[kind]()
+    assert cert.kind == kind and cert.success
+    assert cert.verify()
+    honest = cert.residuals
+    entries = [(key, i) for key, val in honest.items()
+               for i in (range(len(val)) if isinstance(val, (list, tuple)) else [None])]
+    assert len(entries) >= 2
+    for key, i in entries:
+        tampered = {k: list(v) if isinstance(v, (list, tuple)) else v
+                    for k, v in honest.items()}
+        if i is None:
+            tampered[key] += 1e-6 * (1 + abs(tampered[key]))
+        else:
+            tampered[key][i] += 1e-6 * (1 + abs(tampered[key][i]))
+        cert.residuals = tampered
+        assert not cert.verify(), (key, i)
+    cert.residuals = honest
+    assert cert.verify()

@@ -22,6 +22,11 @@ def files(tmp_path):
     return write
 
 
+# Moments 1, 0, -1 of x^0..x^2: the Hankel matrix has eigenvalue -1.
+INDEFINITE = {"n": 1, "D": 2, "moments": [
+    {"exp": [0], "val": 1.0}, {"exp": [1], "val": 0.0}, {"exp": [2], "val": -1.0}]}
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -88,11 +93,27 @@ class TestLoaders:
     ["approx", "tk", "--poly", "{poly}", "--points", "{inf_pts}", "--eps", "0.1"],
     ["norms", "rho", "--poly", "{poly}", "--point", "1e200"],
     ["norms", "rho", "--poly", "{big_poly}", "--point", "10"],
+    ["moments", "check", "--moments", "{indefinite}", "--tol", "inf"],
+    ["moments", "check", "--moments", "{indefinite}", "--tol", "nan"],
+    ["moments", "recover", "--moments", "{mom4}", "--region", "{region}",
+     "--tol", "inf"],
+    ["spectrum", "hausdorff", "--points", "{pts}", "--degree", "2", "--tol", "nan"],
+    ["approx", "tk", "--poly", "{poly}", "--points", "{pts}", "--eps", "inf"],
+    ["approx", "sup", "--poly", "{poly}", "--region", "{region}", "--eps", "nan"],
+    ["witness", "--region", "{region}", "--points", "{pts}", "--eps", "nan"],
+    ["moments", "recover", "--moments", "{mom4}", "--region", "{region2}"],
+    ["moments", "recover", "--moments", "{incomplete}", "--region", "{region}"],
+    ["compare", "--region", "{region}", "--max-degree", "0"],
+    ["compare", "--region", "{empty_side}"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
         "kphi-box-lasserre-overflow", "rho-inf-point", "nan-coefficient",
-        "inf-point-string", "rho-overflow", "rho-infinite-result"])
+        "inf-point-string", "rho-overflow", "rho-infinite-result",
+        "check-tol-inf", "check-tol-nan", "recover-tol-inf", "hausdorff-tol-nan",
+        "tk-eps-inf", "sup-eps-nan", "witness-eps-nan",
+        "recover-dimension-mismatch", "recover-incomplete-moments",
+        "compare-max-degree-0", "compare-empty-box-side"])
 def test_bad_input_exits_2_with_json_error(files, capsys, argv):
     paths = {
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
@@ -110,6 +131,13 @@ def test_bad_input_exits_2_with_json_error(files, capsys, argv):
         "inf_pts": files("inf_pts.json", {"points": [["inf"]]}),
         "big_poly": files("big.json", {"n": 1, "terms": [
             {"coeff": 1e308, "exp": [1]}]}),
+        "indefinite": files("ind.json", INDEFINITE),
+        "region2": files("r2.json", Region.from_box(
+            [(0, 1), (0, 1)], resolution=0.1).to_json_dict()),
+        "incomplete": files("inc.json", {"n": 1, "D": 4, "moments": [
+            {"exp": [0], "val": 1.0}, {"exp": [1], "val": 0.0}]}),
+        "empty_side": files("empty.json", {"n": 1, "box": [[1.0, 0.0]],
+                                           "resolution": 0.1}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2
@@ -251,3 +279,10 @@ class TestReportShape:
             {"exp": [2], "val": -1e-4}]})
         code, rep = run(capsys, ["moments", "check", "--moments", mom])
         assert code == 0
+
+    def test_env_tolerance_must_be_finite(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("CONE2D_TOL", "inf")
+        mom = files("m.json", INDEFINITE)
+        code, rep = run(capsys, ["moments", "check", "--moments", mom])
+        assert code == 2
+        assert "CONE2D_TOL" in rep["error"]

@@ -39,6 +39,14 @@ class TestDyadic:
     def test_mix_with_float_demotes(self):
         assert isinstance(Dyadic(1, 1) + 0.1, float)
 
+    def test_polynomial_right_operand_stays_exact(self):
+        h, x, y = Dyadic(3, 2), X(2, 0), X(2, 1)
+        cases = [(h * x, x * h), (h + x, x + h), (h - x, -x + h),
+                 (h * (x - y), (x - y) * h), (h - (x + y) ** 2, -((x + y) ** 2) + h)]
+        for got, want in cases:
+            assert got == want
+            assert got.is_exact and not got.demoted
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             Dyadic(1, -1)
