@@ -22,6 +22,8 @@ from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
 NODE_TIE_TOL = 1e-12
+# Candidate c of module_interpolate's separating form x1 + c*x2 + ...
+_SEPARATING_COEFFS = (Dyadic(3, 3), Dyadic(5, 4), Dyadic(11, 4), Dyadic(13, 5))
 
 
 class PsdViolationError(ValueError):
@@ -100,12 +102,13 @@ class Certificate:
 
 
 def _close(fresh, stored, tol) -> bool:
-    """Entrywise |fresh - stored| <= tol * (1 + |stored|) over nested
-    sequences; a NaN difference (inf against inf) passes."""
+    """Entrywise fresh == stored or |fresh - stored| <= tol * (1 + |stored|)
+    over nested sequences: an infinity matches itself, a NaN matches nothing."""
     if isinstance(fresh, (list, tuple)):
         return len(fresh) == len(stored) and all(
             _close(u, v, tol) for u, v in zip(fresh, stored))
-    return not abs(float(fresh) - float(stored)) > tol * (1 + abs(float(stored)))
+    fresh, stored = float(fresh), float(stored)
+    return fresh == stored or abs(fresh - stored) <= tol * (1 + abs(stored))
 
 
 def _jsonify(obj):
@@ -193,6 +196,17 @@ def _module_element(params, decomposition) -> Polynomial:
             t = t * generators[comp["generator_index"]]
         total = total + (1.0 / comp["lam"]) * comp["p"] ** (2 * d) * t
     return total
+
+
+def _separating_form(n: int, pts) -> Polynomial:
+    """x1 + c*x2 + ... + c**(n-1)*xn for the c in _SEPARATING_COEFFS whose
+    values on the distinct points have the widest smallest gap relative to
+    their spread; x1 itself when n = 1."""
+    distinct = np.unique(np.asarray(pts, dtype=float), axis=0)
+    vals = [np.sort(distinct @ [float(c**i) for i in range(n)]) for c in _SEPARATING_COEFFS]
+    gaps = [np.diff(v).min() / np.ptp(v) if np.ptp(v) > 0 else 0.0 for v in vals]
+    c = _SEPARATING_COEFFS[int(np.argmax(gaps))]
+    return Polynomial(n, {tuple(int(i == j) for j in range(n)): c**i for i in range(n)})
 
 
 def _interp_coeffs(nodes, values) -> np.ndarray:
@@ -352,10 +366,11 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
     """Exact-at-points member of the 2d-power module generated by the
     given polynomials (plus the implicit generator 1).
 
-    Builds node elements t_i matching a's values, Lagrange-style products
-    p_il over distinct node values, multiplicity counts, and assembles
-    p = sum_j (1/lam_j) p_j**(2d) t_j, which matches a at every point.
-    The decomposition certifies module membership syntactically.
+    Node element t_i is a(x_i) if that is >= 0, else a nonnegative multiple
+    of a generator negative at x_i.  p_i is the Lagrange basis polynomial at
+    nu_i = ell(x_i) in one dyadic linear form ell separating the points, and
+    lam_i counts the points sharing nu_i; sum_j (1/lam_j) p_j**(2d) t_j then
+    matches a at every point and is syntactically in the module.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -379,34 +394,16 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
             )
         node_elems.append((v / generators[gi].evaluate(p), gi))
 
-    t_polys = [scalar * (generators[gi] if gi is not None else one)
-               for scalar, gi in node_elems]
-    k = len(pts)
-    tvals = [[t.evaluate(p) for t in t_polys] for p in pts]  # tvals[i][l]
-
-    p_polys = []
-    for i in range(k):
+    ell = _separating_form(a.n, pts)
+    nodes = [ell.evaluate(p) for p in pts]
+    components = []
+    for vi, (scalar, gi) in zip(nodes, node_elems):
         pi = one
-        for ell in range(k):
-            for j in range(k):
-                if abs(tvals[i][ell] - tvals[j][ell]) > NODE_TIE_TOL:
-                    pi = pi * (t_polys[ell] - tvals[j][ell]) * (
-                        1.0 / (tvals[i][ell] - tvals[j][ell]))
-            # p_il = 1 when no j separates, which the loop realizes as-is
-        p_polys.append(pi)
-
-    lam = []
-    for i in range(k):
-        lam.append(sum(
-            1 for kk in range(k)
-            if all(abs(tvals[kk][ell] - tvals[i][ell]) <= NODE_TIE_TOL
-                   for ell in range(k))
-        ))
-
-    components = [{"lam": lam[j], "p": p_polys[j],
-                   "t_scalar": node_elems[j][0],
-                   "generator_index": node_elems[j][1]}
-                  for j in range(k)]
+        for vj in dict.fromkeys(nodes):  # distinct nodes, first occurrence order
+            if vj != vi:
+                pi = pi * (ell - vj) * (1.0 / (vi - vj))
+        components.append({"lam": nodes.count(vi), "p": pi, "t_scalar": scalar,
+                           "generator_index": gi})
     params = {"a": a, "generators": generators, "points": pts, "d": d}
     decomposition = {"d": d, "components": components}
     return _checked("module", params, decomposition,

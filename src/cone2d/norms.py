@@ -54,6 +54,8 @@ class WeightFunction:
         self.table = {tuple(k): float(v) for k, v in table.items()} if table else None
         if kind == "table" and not self.table:
             raise ValueError("table weight needs explicit entries")
+        if self.table and any(len(k) != n for k in self.table):
+            raise ValueError(f"table weight exponents must all have length {n}")
         if is_absolute_value is None:
             is_absolute_value = kind in ("one", "geometric")
         if is_absolute_value and kind == "lasserre":
@@ -137,6 +139,8 @@ class WeightFunction:
             return cls.geometric(data["radii"])
         if kind == "table":
             table = {tuple(e["exp"]): e["val"] for e in data["entries"]}
+            if not table:
+                raise ValueError("table weight needs explicit entries")
             n = len(next(iter(table)))
             return cls(n, "table", table=table,
                        is_absolute_value=data.get("is_absolute_value", False))

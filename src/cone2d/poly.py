@@ -12,6 +12,7 @@ polynomials always serialize identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -29,6 +30,7 @@ GRID_BLOCK_ROWS = 2048
 _FLOATS = (float, np.floating, np.integer)
 
 
+@functools.total_ordering
 class Dyadic:
     """Exact dyadic rational m / 2**k, stored in lowest terms (m odd or k == 0)."""
 
@@ -103,35 +105,23 @@ class Dyadic:
         return self.m / (1 << self.k)
 
     def _pair(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        elif isinstance(other, float):
-            other = Dyadic.from_float(other)
+        """(self, other) as integers over a common denominator, or
+        NotImplemented for an operand the arithmetic does not accept."""
+        if isinstance(other, (int, np.integer)):
+            other = Dyadic(int(other))
+        elif isinstance(other, _FLOATS):
+            other = Dyadic.from_float(float(other))
         if not isinstance(other, Dyadic):
             return NotImplemented
         return self.m * (1 << other.k), other.m * (1 << self.k)
 
     def __eq__(self, other):
         pair = self._pair(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        return pair[0] == pair[1]
+        return pair if pair is NotImplemented else pair[0] == pair[1]
 
     def __lt__(self, other):
-        a, b = self._pair(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._pair(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._pair(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._pair(other)
-        return a >= b
+        pair = self._pair(other)
+        return pair if pair is NotImplemented else pair[0] < pair[1]
 
     def __hash__(self):
         return hash((self.m, self.k))

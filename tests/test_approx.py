@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -201,6 +202,48 @@ class TestModuleInterpolate:
                                   [(-3,), (0,), (2,)], d=1)
         assert cert.verify()
 
+    @staticmethod
+    def _spread_job(k, seed):
+        """k jittered points on [-1, 1] and a = (x - mid)(1 + w(x - mid)),
+        negative exactly on the left half of the points."""
+        rng = np.random.default_rng(seed)
+        pts = [(-1.0 + (i + 0.5 + rng.uniform(-0.3, 0.3)) * 2.0 / k,) for i in range(k)]
+        mid = 0.5 * (pts[(k - 1) // 2][0] + pts[k // 2][0])
+        x = X(1, 0)
+        return (x - mid) * (1 + float(rng.uniform(-0.2, 0.2)) * (x - mid)), pts
+
+    @pytest.mark.parametrize("k, d", [(6, 1), (7, 1), (8, 1), (6, 2)])
+    def test_spread_points_with_generator_certify(self, k, d):
+        for seed in range(3):
+            a, pts = self._spread_job(k, seed)
+            cert = module_interpolate(a, [X(1, 0) - 2], pts, d=d)
+            assert cert.success and cert.verify()
+            assert max(cert.residuals["per_point"]) < 1e-9
+            assert all(c["p"].degree() <= k - 1
+                       for c in cert.decomposition["components"])
+
+    @pytest.mark.parametrize("pts", [
+        [(0.75, 0.0), (0.0, -1.0), (0.5, 0.5), (-1.0, 0.25)],
+        [(0.25, 0.0), (0.0, 0.25), (0.75, 0.0), (0.0, -1.0), (-0.375, 0.125),
+         (-0.5, -0.75)],
+    ], ids=["4pts", "6pts"])
+    def test_two_dimensional_disk(self, pts):
+        x, y = X(2, 0), X(2, 1)
+        a = x ** 2 + y ** 2 - 0.25
+        cert = module_interpolate(a, [x ** 2 + y ** 2 - 0.5], pts, d=1)
+        assert cert.success and cert.verify()
+        assert max(cert.residuals["per_point"]) < 1e-9
+        assert all(c["p"].degree() <= len(pts) - 1
+                   for c in cert.decomposition["components"])
+
+    def test_duplicated_point(self):
+        pts = [(-1.0,), (0.5,), (-1.0,)]
+        cert = module_interpolate(X(1, 0) ** 2 + 1, [], pts, d=1)
+        assert cert.success
+        comps = cert.decomposition["components"]
+        assert [c["lam"] for c in comps] == [2, 1, 2]
+        assert all(c["p"].degree() <= 1 for c in comps)
+
 
 class TestStrictnessWitness:
     def test_interval_witness(self):
@@ -283,7 +326,8 @@ def _sample_certificates():
 @pytest.mark.parametrize("kind", list(_sample_certificates()))
 def test_verify_rejects_each_tampered_residual(kind):
     """verify() recomputes every stored residual entry: moving any single
-    one by 1e-6 * (1 + |value|), far above its tolerance, is caught."""
+    one by 1e-6 * (1 + |value|), far above its tolerance, or replacing it
+    by NaN is caught."""
     cert = _sample_certificates()[kind]()
     assert cert.kind == kind and cert.success
     assert cert.verify()
@@ -291,14 +335,12 @@ def test_verify_rejects_each_tampered_residual(kind):
     entries = [(key, i) for key, val in honest.items()
                for i in (range(len(val)) if isinstance(val, (list, tuple)) else [None])]
     assert len(entries) >= 2
-    for key, i in entries:
+    for (key, i), nan in itertools.product(entries, (False, True)):
         tampered = {k: list(v) if isinstance(v, (list, tuple)) else v
                     for k, v in honest.items()}
-        if i is None:
-            tampered[key] += 1e-6 * (1 + abs(tampered[key]))
-        else:
-            tampered[key][i] += 1e-6 * (1 + abs(tampered[key][i]))
+        box, at = (tampered, key) if i is None else (tampered[key], i)
+        box[at] = math.nan if nan else box[at] + 1e-6 * (1 + abs(box[at]))
         cert.residuals = tampered
-        assert not cert.verify(), (key, i)
+        assert not cert.verify(), (key, i, nan)
     cert.residuals = honest
     assert cert.verify()

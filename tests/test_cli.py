@@ -105,6 +105,9 @@ class TestLoaders:
     ["moments", "recover", "--moments", "{incomplete}", "--region", "{region}"],
     ["compare", "--region", "{region}", "--max-degree", "0"],
     ["compare", "--region", "{empty_side}"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{empty_table}"],
+    ["moments", "continuity", "--moments", "{mom4}", "--phi", "{empty_table}"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{ragged_table}"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -113,7 +116,8 @@ class TestLoaders:
         "check-tol-inf", "check-tol-nan", "recover-tol-inf", "hausdorff-tol-nan",
         "tk-eps-inf", "sup-eps-nan", "witness-eps-nan",
         "recover-dimension-mismatch", "recover-incomplete-moments",
-        "compare-max-degree-0", "compare-empty-box-side"])
+        "compare-max-degree-0", "compare-empty-box-side",
+        "phi-table-empty", "continuity-table-empty", "phi-table-ragged"])
 def test_bad_input_exits_2_with_json_error(files, capsys, argv):
     paths = {
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
@@ -138,6 +142,10 @@ def test_bad_input_exits_2_with_json_error(files, capsys, argv):
             {"exp": [0], "val": 1.0}, {"exp": [1], "val": 0.0}]}),
         "empty_side": files("empty.json", {"n": 1, "box": [[1.0, 0.0]],
                                            "resolution": 0.1}),
+        "empty_table": files("w0.json", {"kind": "table", "entries": []}),
+        "ragged_table": files("wr.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [2], "val": 1.0},
+            {"exp": [2, 0], "val": 5.0}]}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

@@ -35,6 +35,20 @@ class TestDyadic:
         assert Dyadic(1, 1) < Dyadic(3, 2)
         assert Dyadic(3, 2) == 0.75
         assert Dyadic(-1, 0) < 0
+        h = Dyadic(1, 1)
+        # numpy scalars compare like the ints and floats they stand for
+        assert h < np.int64(1) and h <= np.int64(1) and not h > np.int64(1)
+        assert h >= np.float64(0.5) and h <= np.float32(0.5) and h == np.float64(0.5)
+        assert h > np.float64(0.25) and not h >= 0.75 and h != np.int64(0)
+        assert np.int64(1) > h and 0.25 < h
+        assert sorted([Dyadic(3, 1), 1, np.float64(0.25), h]) == [0.25, h, 1, Dyadic(3, 1)]
+        # other operands are not ordered against a Dyadic and never equal it
+        for other in ("1", None, [1], X(1, 0)):
+            assert h != other
+            with pytest.raises(TypeError):
+                h < other
+            with pytest.raises(TypeError):
+                h >= other
 
     def test_mix_with_float_demotes(self):
         assert isinstance(Dyadic(1, 1) + 0.1, float)
