@@ -12,7 +12,6 @@ polynomials always serialize identically.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -30,7 +29,23 @@ GRID_BLOCK_ROWS = 2048
 _FLOATS = (float, np.floating, np.integer)
 
 
-@functools.total_ordering
+def _comparison(op):
+    """A Dyadic comparison: op on integers over a common denominator, or on
+    0 and an infinite or NaN float, which every finite value orders like."""
+    def compare(self, other):
+        if isinstance(other, (int, np.integer)):
+            other = Dyadic(int(other))
+        elif isinstance(other, _FLOATS):
+            other = float(other)
+            if not math.isfinite(other):
+                return op(0, other)
+            other = Dyadic.from_float(other)
+        if not isinstance(other, Dyadic):
+            return NotImplemented
+        return op(self.m << other.k, other.m << self.k)
+    return compare
+
+
 class Dyadic:
     """Exact dyadic rational m / 2**k, stored in lowest terms (m odd or k == 0)."""
 
@@ -41,13 +56,9 @@ class Dyadic:
             raise ValueError(f"dyadic exponent k must be nonnegative, got {k}")
         m = int(m)
         k = int(k)
-        while k > 0 and m % 2 == 0:
-            m //= 2
-            k -= 1
-        if m == 0:
-            k = 0
-        self.m = m
-        self.k = k
+        tz = min((m & -m).bit_length() - 1, k) if m else k  # trailing zero bits, at most k
+        self.m = m >> tz
+        self.k = k - tz
 
     @classmethod
     def from_float(cls, x: float) -> "Dyadic":
@@ -68,7 +79,7 @@ class Dyadic:
             other = Dyadic(other)
         if isinstance(other, Dyadic):
             k = max(self.k, other.k)
-            return Dyadic(self.m * (1 << (k - self.k)) + other.m * (1 << (k - other.k)), k)
+            return Dyadic((self.m << (k - self.k)) + (other.m << (k - other.k)), k)
         return float(self) + other if isinstance(other, _FLOATS) else NotImplemented
 
     __radd__ = __add__
@@ -104,24 +115,12 @@ class Dyadic:
     def __float__(self):
         return self.m / (1 << self.k)
 
-    def _pair(self, other):
-        """(self, other) as integers over a common denominator, or
-        NotImplemented for an operand the arithmetic does not accept."""
-        if isinstance(other, (int, np.integer)):
-            other = Dyadic(int(other))
-        elif isinstance(other, _FLOATS):
-            other = Dyadic.from_float(float(other))
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.m * (1 << other.k), other.m * (1 << self.k)
-
-    def __eq__(self, other):
-        pair = self._pair(other)
-        return pair if pair is NotImplemented else pair[0] == pair[1]
-
-    def __lt__(self, other):
-        pair = self._pair(other)
-        return pair if pair is NotImplemented else pair[0] < pair[1]
+    # Each order is its own: one derived from the others misorders NaN.
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __hash__(self):
         return hash((self.m, self.k))
@@ -194,7 +193,7 @@ class Polynomial:
     length n, term iteration follows graded lex order.
     """
 
-    __slots__ = ("n", "terms", "demoted")
+    __slots__ = ("n", "terms", "demoted", "_arrays")
 
     def __init__(self, n: int, terms=None, demoted: bool = False):
         if n < 1:
@@ -211,9 +210,19 @@ class Polynomial:
             c = _as_coeff(c)
             if not _is_zero_coeff(c):
                 clean[exp] = c
-        self.n = n
+        self.n, self.demoted, self._arrays = n, bool(demoted), None
         self.terms = dict(sorted(clean.items(), key=lambda kv: grlex_key(kv[0])))
-        self.demoted = bool(demoted)
+
+    @classmethod
+    def _ring_result(cls, n: int, terms: dict, demoted: bool, ordered: bool) -> "Polynomial":
+        """Unvalidated constructor for results built from valid terms: prunes
+        zeros and sorts, unless the terms are in grlex order already."""
+        p = object.__new__(cls)
+        p.n, p.demoted, p._arrays = n, demoted, None
+        p.terms = {e: c for e, c in terms.items() if not _is_zero_coeff(c)}
+        if not ordered:
+            p.terms = dict(sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
+        return p
 
     # -- constructors --
 
@@ -235,7 +244,7 @@ class Polynomial:
     # -- basic queries --
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return sum(next(reversed(self.terms), ()))  # grlex: the last term has top degree
 
     @property
     def is_exact(self) -> bool:
@@ -263,12 +272,14 @@ class Polynomial:
         demoted = self.demoted or other.demoted or any(
             isinstance(self.terms[exp], Dyadic) != isinstance(other.terms[exp], Dyadic)
             for exp in self.terms.keys() & other.terms.keys())
-        return Polynomial(self.n, terms, demoted)
+        return Polynomial._ring_result(self.n, terms, demoted,
+                                       ordered=other.terms.keys() <= self.terms.keys())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()}, self.demoted)
+        return Polynomial._ring_result(
+            self.n, {e: -c for e, c in self.terms.items()}, self.demoted, ordered=True)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, Dyadic, np.integer, np.floating)):
@@ -282,19 +293,36 @@ class Polynomial:
         if isinstance(other, (int, float, Dyadic, np.integer, np.floating)):
             other = Polynomial.constant(self.n, other)
         self._check_dim(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(operator.add, e1, e2))
-                prod = c1 * c2
-                prev = terms.get(exp)
-                terms[exp] = prod if prev is None else prev + prod
+        kinds = {isinstance(c, Dyadic) for c in (*self.terms.values(), *other.terms.values())}
+        exact = False not in kinds
+        # Packed key: exponent digits in base 2**bits > degree, first variable
+        # most significant, minus degree * 2**(n*bits); adding keys adds the
+        # exponents and descending keys are grlex order.  An all-dyadic
+        # operand has one scale K = max k: m / 2**k is the int m << (K - k).
+        bits = (self.degree() + other.degree()).bit_length() or 1
+        shifts = range((self.n - 1) * bits, -1, -bits)
+        weights = [(1 << s) - (1 << self.n * bits) for s in shifts]
+        scales = [max((c.k for c in p.terms.values()), default=0) if exact else 0
+                  for p in (self, other)]
+        a, b = ([(sum(map(operator.mul, exp, weights)), c.m << (scale - c.k) if exact else c)
+                 for exp, c in p.terms.items()] for p, scale in zip((self, other), scales))
+        acc = {}
+        for x, u in a:  # (i, j) order fixes each float sum's order, so its rounding
+            for y, v in b:
+                key = x + y
+                if key in acc:
+                    acc[key] += u * v
+                else:
+                    acc[key] = u * v
+        mask = (1 << bits) - 1
+        terms = {tuple([(key >> s) & mask for s in shifts]):
+                 Dyadic(acc[key], sum(scales)) if exact else acc[key]
+                 for key in sorted(acc, reverse=True)}
         # Every product has one kind unless some pair mixes a Dyadic with a
         # float, so only such a pair can demote, in a product or a sum.
-        kinds = {isinstance(c, Dyadic)
-                 for c in (*self.terms.values(), *other.terms.values())}
         mixed = bool(self.terms) and bool(other.terms) and len(kinds) == 2
-        return Polynomial(self.n, terms, self.demoted or other.demoted or mixed)
+        return Polynomial._ring_result(
+            self.n, terms, self.demoted or other.demoted or mixed, ordered=True)
 
     __rmul__ = __mul__
 
@@ -316,18 +344,28 @@ class Polynomial:
     def __call__(self, x):
         return self.evaluate(x)
 
+    def _eval_arrays(self):
+        """(exponent matrix, float coefficients, top exponent per variable),
+        built once: the polynomial is immutable."""
+        if self._arrays is None:
+            exps = np.array(list(self.terms), dtype=np.intp).reshape(len(self.terms), self.n)
+            coeffs = np.array([float(c) for c in self.terms.values()])
+            self._arrays = exps, coeffs, exps.max(axis=0, initial=0).tolist()
+        return self._arrays
+
     def evaluate(self, x) -> float:
-        """Evaluate at a real point; a ring homomorphism R -> R."""
+        """Evaluate at a real point; a ring homomorphism R -> R.
+
+        c * x1**e1 * ... * xn**en per term, summed from 0.0 in term order by the
+        sequential np.cumsum; powers are float ** int, which raise OverflowError."""
         if len(x) != self.n:
             raise ValueError(f"point has dimension {len(x)}, polynomial has {self.n}")
-        total = 0.0
-        for exp, c in self.terms.items():
-            v = float(c)
-            for xi, e in zip(x, exp):
-                if e:
-                    v *= float(xi) ** e
-            total += v
-        return total
+        exps, vals, tops = self._eval_arrays()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xi, col, top in zip(x, exps.T, tops):
+                vals = vals * np.array([float(xi) ** e for e in range(top + 1)])[col]
+            # + 0.0 acts as a 0.0 start would: a sum of -0.0s becomes 0.0
+            return float(vals.cumsum()[-1]) + 0.0 if vals.size else 0.0
 
     def evaluate_exact(self, x) -> Dyadic:
         """Exact evaluation at a dyadic point (all coefficients dyadic)."""
@@ -352,8 +390,7 @@ class Polynomial:
             raise ValueError(
                 f"points have dimension {points.shape[1]}, polynomial has {self.n}"
             )
-        exps = list(self.terms)
-        coeffs = np.array([float(c) for c in self.terms.values()])
+        exps, coeffs, _ = self._eval_arrays()
         out = np.empty(points.shape[0])
         for start in range(0, points.shape[0], GRID_BLOCK_ROWS):
             block = points[start:start + GRID_BLOCK_ROWS]
@@ -425,10 +462,10 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
-        n = data["n"]
+        n = _wire_int(data["n"], "variable count n")
         terms = {}
         for entry in data.get("terms", []):
-            exp = tuple(entry["exp"])
+            exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
             if exp in terms:
                 raise ValueError(f"duplicate exponent vector {list(exp)}")
             terms[exp] = parse_coefficient(entry["coeff"])
@@ -437,6 +474,12 @@ class Polynomial:
     @classmethod
     def loads(cls, text: str) -> "Polynomial":
         return cls.from_json_dict(json.loads(text))
+
+
+def _wire_int(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def parse_coefficient(raw):
@@ -449,7 +492,7 @@ def parse_coefficient(raw):
                 raise ValueError(f"denominator {den} is not a power of two")
             return Dyadic(int(num), den.bit_length() - 1)
         return Dyadic(int(raw))
-    if isinstance(raw, (int, np.integer)):
+    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool):
         return Dyadic(int(raw))
     if isinstance(raw, (float, np.floating)):
         return float(raw)

@@ -108,6 +108,11 @@ class TestLoaders:
     ["norms", "phi", "--poly", "{poly}", "--phi", "{empty_table}"],
     ["moments", "continuity", "--moments", "{mom4}", "--phi", "{empty_table}"],
     ["norms", "phi", "--poly", "{poly}", "--phi", "{ragged_table}"],
+    ["approx", "tk", "--poly", "{float_n}", "--points", "{pts}", "--eps", "0.1"],
+    ["norms", "rho", "--poly", "{bool_n}", "--point", "3"],
+    ["norms", "rho", "--poly", "{float_exp}", "--point", "3"],
+    ["norms", "rho", "--poly", "{bool_exp}", "--point", "3"],
+    ["norms", "rho", "--poly", "{bool_coeff}", "--point", "3"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -117,7 +122,9 @@ class TestLoaders:
         "tk-eps-inf", "sup-eps-nan", "witness-eps-nan",
         "recover-dimension-mismatch", "recover-incomplete-moments",
         "compare-max-degree-0", "compare-empty-box-side",
-        "phi-table-empty", "continuity-table-empty", "phi-table-ragged"])
+        "phi-table-empty", "continuity-table-empty", "phi-table-ragged",
+        "tk-float-n", "rho-bool-n", "rho-float-exponent", "rho-bool-exponent",
+        "rho-bool-coefficient"])
 def test_bad_input_exits_2_with_json_error(files, capsys, argv):
     paths = {
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
@@ -146,6 +153,11 @@ def test_bad_input_exits_2_with_json_error(files, capsys, argv):
         "ragged_table": files("wr.json", {"kind": "table", "entries": [
             {"exp": [0], "val": 1.0}, {"exp": [2], "val": 1.0},
             {"exp": [2, 0], "val": 5.0}]}),
+        "float_n": files("fn.json", {"n": 1.0, "terms": [{"coeff": 1.0, "exp": [2]}]}),
+        "bool_n": files("bn.json", {"n": True, "terms": [{"coeff": 1.0, "exp": [2]}]}),
+        "float_exp": files("fe.json", {"n": 1, "terms": [{"coeff": 1.0, "exp": [1.5]}]}),
+        "bool_exp": files("be.json", {"n": 1, "terms": [{"coeff": 1.0, "exp": [True]}]}),
+        "bool_coeff": files("bc.json", {"n": 1, "terms": [{"coeff": True, "exp": [2]}]}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ class TestDyadic:
         assert h > np.float64(0.25) and not h >= 0.75 and h != np.int64(0)
         assert np.int64(1) > h and 0.25 < h
         assert sorted([Dyadic(3, 1), 1, np.float64(0.25), h]) == [0.25, h, 1, Dyadic(3, 1)]
+        # non-finite floats answer as a float comparison would, even for a
+        # dyadic too large for float()
+        big = Dyadic(3 << 2000)
+        for v in (h, -h, big, -big, Dyadic(0)):
+            assert v < math.inf and v <= np.float64(math.inf) and v != math.inf
+            assert v > -math.inf and v >= -math.inf and not v < -math.inf
+            assert not v > math.inf and not v >= math.inf and not v == math.inf
+            assert math.inf > v and -math.inf < v
+            for nan in (math.nan, np.float64(math.nan)):
+                assert not (v < nan or v <= nan or v > nan or v >= nan or v == nan)
+                assert v != nan and not (nan < v or nan > v or nan == v)
         # other operands are not ordered against a Dyadic and never equal it
         for other in ("1", None, [1], X(1, 0)):
             assert h != other
@@ -268,6 +280,99 @@ def test_demoted_flag_and_coefficient_kind(p, q):
     sums = [(e, c, q.terms.get(e)) for e, c in p.terms.items()]
     sums += [(e, c, None) for e, c in q.terms.items() if e not in p.terms]
     assert_kinds(p + q, reference_kinds(sums, p.demoted or q.demoted))
+
+
+def reference_mul(p, q):
+    """The product as a tuple-keyed double loop in (i, j) term order."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            prod = c1 * c2
+            prev = terms.get(exp)
+            terms[exp] = prod if prev is None else prev + prod
+    kinds = {isinstance(c, Dyadic) for c in (*p.terms.values(), *q.terms.values())}
+    mixed = bool(p.terms) and bool(q.terms) and len(kinds) == 2
+    return Polynomial(p.n, terms, p.demoted or q.demoted or mixed)
+
+
+def reference_add(p, q):
+    terms = dict(p.terms)
+    for exp, c in q.terms.items():
+        prev = terms.get(exp)
+        terms[exp] = c if prev is None else prev + c
+    mixed = any(isinstance(p.terms[e], Dyadic) != isinstance(q.terms[e], Dyadic)
+                for e in p.terms.keys() & q.terms.keys())
+    return Polynomial(p.n, terms, p.demoted or q.demoted or mixed)
+
+
+def reference_evaluate(p, x):
+    """Term by term in float, summed in term order from 0.0."""
+    total = 0.0
+    for exp, c in p.terms.items():
+        v = float(c)
+        for xi, e in zip(x, exp):
+            if e:
+                v *= float(xi) ** e
+        total += v
+    return total
+
+
+def exact_form(c):
+    """A coefficient's kind and exact value: Dyadic (m, k) or float bits."""
+    return type(c), (c.m, c.k) if isinstance(c, Dyadic) else struct.pack("<d", c)
+
+
+def assert_identical(got, want):
+    assert list(got.terms) == list(want.terms)
+    assert [exact_form(c) for c in got.terms.values()] == \
+        [exact_form(c) for c in want.terms.values()]
+    assert got.demoted == want.demoted
+
+
+def assert_evaluates_like_reference(p, x):
+    try:
+        want = reference_evaluate(p, x)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            p.evaluate(x)
+        return
+    assert struct.pack("<d", p.evaluate(x)) == struct.pack("<d", want)
+
+
+def ring_operands():
+    """Two n-variable polynomials (n = 1..3, exponents up to 7) of one
+    coefficient kind each -- Dyadic with k up to 64 and 220-bit
+    numerators, float, np.float64 or a mix -- and two points."""
+    dyadic = st.builds(Dyadic, st.integers(-(1 << 220), 1 << 220), st.integers(0, 64))
+    floats = st.floats(-1e300, 1e300)
+    np_floats = floats.map(np.float64)
+    kinds = [dyadic, floats, np_floats, st.one_of(dyadic, floats, np_floats)]
+    coord = st.one_of(st.floats(-3, 3), st.floats(-1e40, 1e40))
+
+    def build(n):
+        exps = st.tuples(*[st.integers(0, 7)] * n)
+        poly = st.sampled_from(kinds).flatmap(lambda coeff: st.builds(
+            Polynomial, st.just(n), st.dictionaries(exps, coeff, max_size=6), st.booleans()))
+        point = st.tuples(*[coord] * n)
+        return st.tuples(poly, poly, point, point)
+    return st.integers(1, 3).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_operands())
+@example((Polynomial.zero(2), X(2, 0) * 0.5 + Dyadic(3, 70), (0.0, -0.0), (1.0, 2.0)))
+@example((-X(1, 0), X(1, 0), (0.0,), (1e200,)))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ring_operations_bit_identical_to_reference(case):
+    p, q, x, y = case
+    with np.errstate(over="ignore", invalid="ignore"):  # np.float64 products overflow
+        pairs = [(p * q, reference_mul(p, q)), (q * p, reference_mul(q, p)),
+                 (p + q, reference_add(p, q)), (q + p, reference_add(q, p))]
+    for got, want in pairs:
+        assert_identical(got, want)
+        for point in (x, y, x):
+            assert_evaluates_like_reference(got, point)
 
 
 @settings(max_examples=40, deadline=None)
