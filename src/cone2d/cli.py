@@ -1,12 +1,14 @@
 """Batch command-line front door: parse inputs, dispatch, emit JSON reports.
 
 Exit codes: 0 success, 1 certified non-membership or failure verdict,
-2 input errors.
+2 input and usage errors.  ``INPUTS`` and ``COMMANDS`` declare the whole
+command line; the parser, input loading and input digests derive from them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -22,7 +24,7 @@ from .moments import (MomentFunctional, hankel_psd_check, measure_recover,
 from .norms import (Region, WeightFunction, lasserre_threshold, phi_norm,
                     rho_alpha, sup_norm)
 from .poly import Polynomial
-from .spectrum import is_hausdorff, kphi_box, vanishing_ideal_basis
+from .spectrum import kphi_box, vanishing_ideal_basis
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -31,13 +33,6 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     pass
-
-
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
 
 
 def _finite(v, what="number") -> float:
@@ -55,27 +50,128 @@ def _points(data):
     return [tuple(_finite(v) for v in p) for p in pts]
 
 
-def _load(path, parse, what):
-    """Read a JSON input file and parse it; bad content is an InputError."""
+# Input file flag -> (label in error messages, parser of its JSON content).
+# Parsers look library callables up when called, so rebinding them takes effect.
+INPUTS = {
+    "poly": ("polynomial", lambda data: Polynomial.from_json_dict(data)),
+    "region": ("region", lambda data: Region.from_json_dict(data)),
+    "phi": ("weight function", lambda data: WeightFunction.from_json_dict(data)),
+    "points": ("points", _points),
+    "moments": ("moment functional",
+                lambda data: MomentFunctional.from_json_dict(data)),
+}
+
+
+def _load(path, name):
+    """Parse input file ``name``: (value, digest).  Bad content is an InputError."""
+    what, parse = INPUTS[name]
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path) as fh:
-            return parse(json.load(fh, parse_float=_finite,
-                                   parse_constant=_finite))
+        value = parse(json.loads(raw.decode(), parse_float=_finite,
+                                 parse_constant=_finite))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: invalid {what}: {exc}") from exc
+    return value, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def default_tol() -> float:
     return _finite(os.environ.get("CONE2D_TOL", "1e-9"), "CONE2D_TOL")
 
 
+def _hausdorff(args, pts):
+    basis = vanishing_ideal_basis(pts, args.degree, args.tol)
+    return {"hausdorff": basis.kernel_dimension == 0,
+            "kernel_dimension": basis.kernel_dimension, "degree": args.degree,
+            "basis": [q.to_json_dict() for q in basis.basis]}
+
+
+def _moments_check(args, functional):
+    tol = default_tol() if args.tol is None else args.tol
+    verdict = hankel_psd_check(functional, tol)
+    result = {"psd": verdict.psd, "min_eigenvalue": verdict.min_eigenvalue}
+    if verdict.witness is not None:
+        result["witness"] = verdict.witness.to_json_dict()
+    return result
+
+
+def _moments_recover(args, functional, region):
+    rec = measure_recover(functional, region, 1e-6 if args.tol is None else args.tol)
+    return {"success": rec.success, "residual": rec.residual,
+            "support_size": rec.support_size, "converged": rec.converged,
+            "atoms": [list(a) for a in rec.measure.atoms],
+            "weights": list(rec.measure.weights)}
+
+
+# Type of each flag that is not an input file, the same in every command.
+FLAG_TYPES = {"--point": str, "--d": int, "--eps": float, "--tol": float,
+              "--degree": int, "--max-degree": int}
+FLAG_HELP = {"--point": "comma-separated coordinates, e.g. 1,2"}
+REQUIRED = ...  # the "default" of a flag that must be given
+
+# (command, subcommand or None) -> (input files, {flag: default}, verdict,
+# handler).  Each input file is a required flag.  The handler takes the
+# parsed args and the loaded inputs in declared order and returns the
+# result; exit 1 when the result's ``verdict`` field is false.  Handlers
+# look library callables up when called.
+COMMANDS = {
+    ("norms", "sup"): (("poly", "region"), {}, None,
+                       lambda args, f, region: sup_norm(f, region)._asdict()),
+    ("norms", "phi"): (("poly", "phi"), {}, None,
+                       lambda args, f, phi: {"value": phi_norm(f, phi)}),
+    ("norms", "rho"): (("poly",), {"--point": REQUIRED}, None, lambda args, f: {
+        "value": rho_alpha(f, tuple(map(_finite, args.point.split(","))))}),
+    ("spectrum", "kphi-box"): (("phi",), {"--degree": REQUIRED}, None, lambda args, phi: {
+        "box": list(kphi_box(phi, args.degree)), "degree": args.degree}),
+    ("spectrum", "hausdorff"): (("points",), {"--degree": REQUIRED, "--tol": 1e-10},
+                                "hausdorff", _hausdorff),
+    ("approx", "tk"): (("poly", "points"), {"--d": 1, "--eps": REQUIRED}, "success",
+                       lambda args, f, pts: tk_approximate(
+                           f, pts, args.d, args.eps).to_json_dict()),
+    ("approx", "sup"): (("poly", "region"), {"--d": 1, "--eps": REQUIRED,
+                                             "--max-degree": 20}, "success",
+                        lambda args, f, region: sup_approximate(
+                            f, region, args.d, args.eps, args.max_degree).to_json_dict()),
+    ("moments", "check"): (("moments",), {"--tol": None}, "psd", _moments_check),
+    ("moments", "recover"): (("moments", "region"), {"--tol": None}, "success",
+                             _moments_recover),
+    ("moments", "continuity"): (("moments", "phi"), {}, None,
+                                lambda args, m, phi: phi_continuity(m, phi)._asdict()),
+    ("compare", None): (("region",), {"--max-degree": 20}, "found",
+                        lambda args, region: lasserre_threshold(
+                            region, args.max_degree)._asdict()),
+    ("witness", None): (("region", "points"), {"--eps": 0.01, "--degree": 15}, "success",
+                        lambda args, region, pts: strictness_witness(
+                            pts, region, args.eps, args.degree).to_json_dict()),
+}
+
+# Help line of each top-level command.
+COMMAND_HELP = {
+    "norms": "evaluate seminorms and norms",
+    "spectrum": "spectrum and density tests",
+    "approx": "approximation certificates",
+    "moments": "moment functional operations",
+    "compare": "factorial-weight comparison table",
+    "witness": "strict-fineness witness",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InputError, reported as JSON with exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, derived from COMMANDS once per process."""
+    parser = _Parser(
         prog="cone2d",
         description="Topologies, spectra, approximation certificates and "
                     "moment recovery for cones of sums of 2d-powers.",
@@ -87,172 +183,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--summary", action="store_true",
                         help="append a human-readable summary line to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    norms = sub.add_parser("norms", help="evaluate seminorms and norms")
-    norms_sub = norms.add_subparsers(dest="subcommand", required=True)
-    p = norms_sub.add_parser("sup")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--region", required=True)
-    p = norms_sub.add_parser("phi")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--phi", required=True)
-    p = norms_sub.add_parser("rho")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--point", required=True,
-                   help="comma-separated coordinates, e.g. 1,2")
-
-    spectrum = sub.add_parser("spectrum", help="spectrum and density tests")
-    spectrum_sub = spectrum.add_subparsers(dest="subcommand", required=True)
-    p = spectrum_sub.add_parser("kphi-box")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p = spectrum_sub.add_parser("hausdorff")
-    p.add_argument("--points", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    approx = sub.add_parser("approx", help="approximation certificates")
-    approx_sub = approx.add_subparsers(dest="subcommand", required=True)
-    p = approx_sub.add_parser("tk")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--eps", type=float, required=True)
-    p = approx_sub.add_parser("sup")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--region", required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--max-degree", type=int, default=20)
-
-    moments = sub.add_parser("moments", help="moment functional operations")
-    moments_sub = moments.add_subparsers(dest="subcommand", required=True)
-    p = moments_sub.add_parser("check")
-    p.add_argument("--moments", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p = moments_sub.add_parser("recover")
-    p.add_argument("--moments", required=True)
-    p.add_argument("--region", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p = moments_sub.add_parser("continuity")
-    p.add_argument("--moments", required=True)
-    p.add_argument("--phi", required=True)
-
-    compare = sub.add_parser("compare", help="factorial-weight comparison table")
-    compare.add_argument("--region", required=True)
-    compare.add_argument("--max-degree", type=int, default=20)
-
-    witness = sub.add_parser("witness", help="strict-fineness witness")
-    witness.add_argument("--region", required=True)
-    witness.add_argument("--points", required=True)
-    witness.add_argument("--eps", type=float, default=0.01)
-    witness.add_argument("--degree", type=int, default=15)
-
+    groups = {}
+    for (cmd, subcmd), (inputs, flags, _, _) in COMMANDS.items():
+        if subcmd is None:
+            p = sub.add_parser(cmd, help=COMMAND_HELP[cmd])
+        else:
+            if cmd not in groups:
+                groups[cmd] = sub.add_parser(cmd, help=COMMAND_HELP[cmd]).add_subparsers(
+                    dest="subcommand", required=True)
+            p = groups[cmd].add_parser(subcmd)
+        for name in inputs:
+            p.add_argument("--" + name, required=True)
+        for flag, default in flags.items():
+            p.add_argument(flag, type=FLAG_TYPES[flag], required=default is REQUIRED,
+                           default=default, help=FLAG_HELP.get(flag))
     return parser
 
 
-def _run(args) -> tuple[dict, int]:
-    cmd = args.command
-    sc = getattr(args, "subcommand", None)
+def _run(args) -> tuple[dict, dict, int]:
+    """Load the command's inputs, run its handler: (result, digests, exit code)."""
+    key = args.command, getattr(args, "subcommand", None)
+    inputs, _, verdict, handler = COMMANDS[key]
     for opt in ("eps", "tol"):
         if getattr(args, opt, None) is not None:
             _finite(getattr(args, opt), "--" + opt)
-
-    if cmd == "norms" and sc == "sup":
-        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        region = _load(args.region, Region.from_json_dict, "region")
-        res = sup_norm(f, region)
-        return ({"value": res.value, "argmax": list(res.argmax),
-                 "resolution": res.resolution}, EXIT_OK)
-    if cmd == "norms" and sc == "phi":
-        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
-        return ({"value": phi_norm(f, phi)}, EXIT_OK)
-    if cmd == "norms" and sc == "rho":
-        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        point = tuple(_finite(v) for v in args.point.split(","))
-        return ({"value": rho_alpha(f, point)}, EXIT_OK)
-
-    if cmd == "spectrum" and sc == "kphi-box":
-        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
-        return ({"box": list(kphi_box(phi, args.degree)),
-                 "degree": args.degree}, EXIT_OK)
-    if cmd == "spectrum" and sc == "hausdorff":
-        pts = _load(args.points, _points, "points")
-        basis = vanishing_ideal_basis(pts, args.degree, args.tol)
-        hausdorff = basis.kernel_dimension == 0
-        result = {"hausdorff": hausdorff,
-                  "kernel_dimension": basis.kernel_dimension,
-                  "degree": args.degree,
-                  "basis": [q.to_json_dict() for q in basis.basis]}
-        return (result, EXIT_OK if hausdorff else EXIT_VERDICT)
-
-    if cmd == "approx" and sc == "tk":
-        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        pts = _load(args.points, _points, "points")
-        cert = tk_approximate(f, pts, args.d, args.eps)
-        return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
-    if cmd == "approx" and sc == "sup":
-        f = _load(args.poly, Polynomial.from_json_dict, "polynomial")
-        region = _load(args.region, Region.from_json_dict, "region")
-        cert = sup_approximate(f, region, args.d, args.eps, args.max_degree)
-        return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
-
-    if cmd == "moments" and sc == "check":
-        functional = _load(args.moments, MomentFunctional.from_json_dict,
-                           "moment functional")
-        tol = args.tol if args.tol is not None else default_tol()
-        verdict = hankel_psd_check(functional, tol)
-        result = {"psd": verdict.psd, "min_eigenvalue": verdict.min_eigenvalue}
-        if verdict.witness is not None:
-            result["witness"] = verdict.witness.to_json_dict()
-        return (result, EXIT_OK if verdict.psd else EXIT_VERDICT)
-    if cmd == "moments" and sc == "recover":
-        functional = _load(args.moments, MomentFunctional.from_json_dict,
-                           "moment functional")
-        region = _load(args.region, Region.from_json_dict, "region")
-        tol = args.tol if args.tol is not None else 1e-6
-        rec = measure_recover(functional, region, tol)
-        result = {
-            "success": rec.success,
-            "residual": rec.residual,
-            "support_size": rec.support_size,
-            "converged": rec.converged,
-            "atoms": [list(a) for a in rec.measure.atoms],
-            "weights": list(rec.measure.weights),
-        }
-        return (result, EXIT_OK if rec.success else EXIT_VERDICT)
-    if cmd == "moments" and sc == "continuity":
-        functional = _load(args.moments, MomentFunctional.from_json_dict,
-                           "moment functional")
-        phi = _load(args.phi, WeightFunction.from_json_dict, "weight function")
-        report = phi_continuity(functional, phi)
-        return ({"constant": report.constant,
-                 "table": list(report.table)}, EXIT_OK)
-
-    if cmd == "compare":
-        region = _load(args.region, Region.from_json_dict, "region")
-        res = lasserre_threshold(region, args.max_degree)
-        result = {"found": res.found, "threshold": res.threshold,
-                  "bound": res.bound, "ratios": list(res.ratios)}
-        return (result, EXIT_OK if res.found else EXIT_VERDICT)
-
-    if cmd == "witness":
-        region = _load(args.region, Region.from_json_dict, "region")
-        pts = _load(args.points, _points, "points")
-        cert = strictness_witness(pts, region, args.eps, args.degree)
-        return (cert.to_json_dict(), EXIT_OK if cert.success else EXIT_VERDICT)
-
-    raise InputError(f"unknown command {cmd} {sc}")
-
-
-def _input_digests(args) -> dict:
-    digests = {}
-    for attr in ("poly", "region", "phi", "points", "moments"):
-        path = getattr(args, attr, None)
-        if path and os.path.exists(path):
-            digests[attr] = _digest(path)
-    return digests
+    values, digests = [], {}
+    for name in inputs:
+        value, digests[name] = _load(getattr(args, name), name)
+        values.append(value)
+    result = handler(args, *values)
+    return result, digests, EXIT_VERDICT if verdict and not result[verdict] else EXIT_OK
 
 
 def _error(payload: dict, code: int) -> int:
@@ -261,21 +221,16 @@ def _error(payload: dict, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
-        result, code = _run(args)
+        args = build_parser().parse_args(argv)
+        start = time.monotonic()
+        result, digests, code = _run(args)
     except PsdViolationError as exc:
         return _error({"error": str(exc), "verdict": "non-membership"}, EXIT_VERDICT)
     except (InputError, ValueError, OverflowError) as exc:
         return _error({"error": str(exc)}, EXIT_INPUT)
-    report = {
-        "command": " ".join(argv if argv is not None else sys.argv[1:]),
-        "inputs": _input_digests(args),
-        "result": result,
-        "version": __version__,
-    }
+    report = {"command": " ".join(argv if argv is not None else sys.argv[1:]),
+              "inputs": digests, "result": result, "version": __version__}
     if not args.no_timestamp:
         report["wall_time_s"] = time.monotonic() - start
     try:

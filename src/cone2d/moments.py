@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .norms import Region, WeightFunction
-from .poly import Polynomial, design_matrix
+from .poly import Polynomial, _wire_int, design_matrix
 from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
@@ -79,11 +79,12 @@ class MomentFunctional:
     def from_json_dict(cls, data: dict) -> "MomentFunctional":
         moments = {}
         for entry in data["moments"]:
-            exp = tuple(entry["exp"])
+            exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
             if exp in moments:
                 raise ValueError(f"duplicate moment exponent {list(exp)}")
             moments[exp] = float(entry["val"])
-        return cls(int(data["n"]), int(data["D"]), moments)
+        return cls(_wire_int(data["n"], "variable count n"),
+                   _wire_int(data["D"], "degree D"), moments)
 
 
 def from_measure(mu: AtomicMeasure, degree: int) -> MomentFunctional:

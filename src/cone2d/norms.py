@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import Polynomial
+from .poly import Polynomial, _wire_int
 
 # Boundary points of semialgebraic regions are kept down to this slack.
 INEQ_TOL = -1e-12
@@ -56,6 +56,8 @@ class WeightFunction:
             raise ValueError("table weight needs explicit entries")
         if self.table and any(len(k) != n for k in self.table):
             raise ValueError(f"table weight exponents must all have length {n}")
+        if self.table and not all(v > 0 for v in self.table.values()):
+            raise ValueError("table weight values must be positive")
         if is_absolute_value is None:
             is_absolute_value = kind in ("one", "geometric")
         if is_absolute_value and kind == "lasserre":
@@ -138,14 +140,15 @@ class WeightFunction:
         if kind == "geometric":
             return cls.geometric(data["radii"])
         if kind == "table":
-            table = {tuple(e["exp"]): e["val"] for e in data["entries"]}
+            table = {tuple(_wire_int(x, "exponent") for x in e["exp"]): e["val"]
+                     for e in data["entries"]}
             if not table:
                 raise ValueError("table weight needs explicit entries")
             n = len(next(iter(table)))
             return cls(n, "table", table=table,
                        is_absolute_value=data.get("is_absolute_value", False))
         if kind in ("one", "lasserre"):
-            return cls(int(data.get("n", 1)), kind)
+            return cls(_wire_int(data.get("n", 1), "variable count n"), kind)
         raise ValueError(f"unknown weight kind {kind!r}")
 
 
@@ -174,8 +177,7 @@ class Region:
         for lo, hi in box:
             if hi < lo:
                 raise ValueError(f"empty box side [{lo}, {hi}]")
-        if resolution is None:
-            resolution = 0.01 * max(max(hi - lo for lo, hi in box), 1.0)
+        resolution = _resolution(box, resolution)
         ineqs = tuple(ineqs)
         for g in ineqs:
             if g.n != n:
@@ -186,7 +188,7 @@ class Region:
         if pts.shape[0] == 0:
             raise ValueError("region has no sample points (inequalities too tight)")
         pts.setflags(write=False)
-        return cls(n, box, ineqs, float(resolution), pts)
+        return cls(n, box, ineqs, resolution, pts)
 
     @classmethod
     def from_points(cls, points, resolution=None) -> "Region":
@@ -195,11 +197,10 @@ class Region:
         if pts.shape[0] == 0:
             raise ValueError("empty point set")
         box = tuple((pts[:, i].min(), pts[:, i].max()) for i in range(pts.shape[1]))
-        if resolution is None:
-            resolution = 0.01 * max(max(hi - lo for lo, hi in box), 1.0)
+        resolution = _resolution(box, resolution)
         pts = pts[np.lexsort(pts.T[::-1])]
         pts.setflags(write=False)
-        return cls(pts.shape[1], box, (), float(resolution), pts)
+        return cls(pts.shape[1], box, (), resolution, pts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,6 +214,17 @@ class Region:
     def from_json_dict(cls, data: dict) -> "Region":
         ineqs = tuple(Polynomial.from_json_dict(g) for g in data.get("ineqs", []))
         return cls.from_box(data["box"], ineqs, data.get("resolution"))
+
+
+def _resolution(box, resolution) -> float:
+    """The grid spacing: 1% of the widest side (at least 0.01) by default;
+    a given value must be positive and finite."""
+    if resolution is None:
+        return float(0.01 * max(max(hi - lo for lo, hi in box), 1.0))
+    res = float(resolution)
+    if not 0 < res < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    return res
 
 
 def _grid(box, resolution) -> np.ndarray:

@@ -250,9 +250,6 @@ class Polynomial:
     def is_exact(self) -> bool:
         return all(isinstance(c, Dyadic) for c in self.terms.values())
 
-    def coeff_norm2(self) -> float:
-        return math.sqrt(sum(float(c) ** 2 for c in self.terms.values()))
-
     def _check_dim(self, other: "Polynomial"):
         if self.n != other.n:
             raise ValueError(

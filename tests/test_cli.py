@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cone2d.cli import main
+from cone2d.cli import COMMANDS, build_parser, main
 from cone2d.moments import uniform_box_moments
 from cone2d.norms import Region, WeightFunction
 from cone2d.poly import Polynomial
@@ -113,6 +115,17 @@ class TestLoaders:
     ["norms", "rho", "--poly", "{float_exp}", "--point", "3"],
     ["norms", "rho", "--poly", "{bool_exp}", "--point", "3"],
     ["norms", "rho", "--poly", "{bool_coeff}", "--point", "3"],
+    ["approx", "tk", "--poly", "{poly}"],
+    ["approx", "tk", "--poly", "{poly}", "--points", "{pts}", "--eps", "abc"],
+    ["bogus"],
+    ["norms", "sup", "--poly", "{poly}", "--region", "{zero_res}"],
+    ["norms", "sup", "--poly", "{poly}", "--region", "{negative_res}"],
+    ["moments", "check", "--moments", "{moments_float_n}"],
+    ["moments", "check", "--moments", "{moments_float_D}"],
+    ["moments", "check", "--moments", "{moments_float_exp}"],
+    ["spectrum", "kphi-box", "--phi", "{lasserre_float_n}", "--degree", "3"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{table_float_exp}"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{negative_table}"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -124,7 +137,11 @@ class TestLoaders:
         "compare-max-degree-0", "compare-empty-box-side",
         "phi-table-empty", "continuity-table-empty", "phi-table-ragged",
         "tk-float-n", "rho-bool-n", "rho-float-exponent", "rho-bool-exponent",
-        "rho-bool-coefficient"])
+        "rho-bool-coefficient", "usage-missing-flag", "usage-bad-value",
+        "usage-unknown-command", "region-zero-resolution",
+        "region-negative-resolution", "moments-float-n", "moments-float-D",
+        "moments-float-exponent", "lasserre-float-n", "table-float-exponent",
+        "table-negative-value"])
 def test_bad_input_exits_2_with_json_error(files, capsys, argv):
     paths = {
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
@@ -158,6 +175,20 @@ def test_bad_input_exits_2_with_json_error(files, capsys, argv):
         "float_exp": files("fe.json", {"n": 1, "terms": [{"coeff": 1.0, "exp": [1.5]}]}),
         "bool_exp": files("be.json", {"n": 1, "terms": [{"coeff": 1.0, "exp": [True]}]}),
         "bool_coeff": files("bc.json", {"n": 1, "terms": [{"coeff": True, "exp": [2]}]}),
+        "zero_res": files("r0.json", {"n": 1, "box": [[0, 1]], "resolution": 0}),
+        "negative_res": files("rn.json", {"n": 1, "box": [[0, 1]], "resolution": -0.1}),
+        "moments_float_n": files("mn.json", dict(INDEFINITE, n=1.5)),
+        "moments_float_D": files("mD.json", dict(INDEFINITE, D=2.5)),
+        "moments_float_exp": files("me.json", {"n": 1, "D": 2, "moments": [
+            {"exp": [0], "val": 1.0}, {"exp": [1.0], "val": 0.0},
+            {"exp": [2], "val": 1.0}]}),
+        "lasserre_float_n": files("lf.json", {"kind": "lasserre", "n": 1.7}),
+        "table_float_exp": files("wf.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [1.0], "val": 1.0},
+            {"exp": [2], "val": 1.0}]}),
+        "negative_table": files("wn.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [1], "val": 1.0},
+            {"exp": [2], "val": -2.0}]}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2
@@ -306,3 +337,33 @@ class TestReportShape:
         code, rep = run(capsys, ["moments", "check", "--moments", mom])
         assert code == 2
         assert "CONE2D_TOL" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [[]] + [[c for c in key if c] for key in COMMANDS],
+                         ids=lambda argv: " ".join(argv) or "cone2d")
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert "usage: cone2d" in capsys.readouterr().out
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_readme_cli_block_matches_command_table(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("cone2d ")]
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("parsing the command line opened a file")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    seen = set()
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        seen.add((args.command, getattr(args, "subcommand", None)))
+    assert len(lines) == len(seen) == len(COMMANDS)
+    assert seen == set(COMMANDS)
