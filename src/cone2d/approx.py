@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .norms import Region, WeightFunction, phi_norm, fatten, sup_norm
+from .norms import Region, WeightFunction, _dilations, phi_norm, sup_norm
 from .poly import Dyadic, Polynomial, design_matrix, nearest_dyadic
 from .spectrum import monomials_upto
 
@@ -302,6 +302,8 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
         raise ValueError(f"d must be >= 1, got {d}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if max_fit_degree < 0:
+        raise ValueError(f"fit degree must be >= 0, got {max_fit_degree}")
     samples = region.sample_points
     fvals = f.evaluate_grid(samples)
     params = {"f": f, "region": region, "d": d, "eps": eps,
@@ -419,6 +421,8 @@ def strictness_witness(points, region: Region, eps: float,
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if fit_degree < 0:
+        raise ValueError(f"fit degree must be >= 0, got {fit_degree}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     samples = region.sample_points
     tree = cKDTree(pts)
@@ -480,15 +484,9 @@ class FatteningReport:
 def psd_on_fattening(f: Polynomial, region: Region, eps_list) -> FatteningReport:
     """Evaluate min f over fatten(region, eps) for each eps."""
     eps_list = list(eps_list)
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ValueError("eps_list must be nonempty and positive")
-    if sorted(eps_list) != eps_list:
-        raise ValueError("eps_list must be sorted ascending")
-    report = FatteningReport()
-    for eps in eps_list:
-        fat = fatten(region, eps)
-        vals = f.evaluate_grid(fat.sample_points)
+    entries = []
+    for eps, fat in zip(eps_list, _dilations(region, eps_list)):
+        vals = f.evaluate_grid(fat)
         i = int(np.argmin(vals))
-        report.entries.append((eps, float(vals[i]), tuple(fat.sample_points[i])))
-    report.member = report.entries[0][1] >= 0
-    return report
+        entries.append((eps, float(vals[i]), tuple(fat[i])))
+    return FatteningReport(entries, entries[0][1] >= 0)

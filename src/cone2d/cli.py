@@ -65,10 +65,13 @@ INPUTS = {
 def _load(path, name):
     """Parse input file ``name``: (value, digest).  Bad content is an InputError."""
     what, parse = INPUTS[name]
-    if not os.path.exists(path):
-        raise InputError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
     try:
         value = parse(json.loads(raw.decode(), parse_float=_finite,
                                  parse_constant=_finite))
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "moment recovery for cones of sums of 2d-powers.",
     )
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed threaded through randomized operations")
+                        help="accepted for compatibility; no command reads it")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit wall time from the report (byte-stable output)")
     parser.add_argument("--summary", action="store_true",

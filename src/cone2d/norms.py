@@ -182,7 +182,9 @@ class Region:
         for g in ineqs:
             if g.n != n:
                 raise ValueError(f"inequality has {g.n} variables, box has {n}")
-        pts = _grid(box, resolution)
+        sizes = [1 if hi == lo else max(2, int(round((hi - lo) / resolution)) + 1)
+                 for lo, hi in box]
+        pts = _lattice(sizes, lambda i: np.linspace(*box[i], sizes[i]))
         for g in ineqs:
             pts = pts[g.evaluate_grid(pts) >= INEQ_TOL]
         if pts.shape[0] == 0:
@@ -198,7 +200,7 @@ class Region:
             raise ValueError("empty point set")
         box = tuple((pts[:, i].min(), pts[:, i].max()) for i in range(pts.shape[1]))
         resolution = _resolution(box, resolution)
-        pts = pts[np.lexsort(pts.T[::-1])]
+        pts = np.unique(pts, axis=0)  # distinct, in lexicographic order
         pts.setflags(write=False)
         return cls(pts.shape[1], box, (), resolution, pts)
 
@@ -227,19 +229,12 @@ def _resolution(box, resolution) -> float:
     return res
 
 
-def _grid(box, resolution) -> np.ndarray:
-    axes = []
-    total = 1
-    for lo, hi in box:
-        side = hi - lo
-        num = 1 if side == 0 else max(2, int(round(side / resolution)) + 1)
-        total *= num
-        if total > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid would exceed {MAX_GRID_POINTS} points; raise the resolution"
-            )
-        axes.append(np.linspace(lo, hi, num))
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _lattice(sizes, axis) -> np.ndarray:
+    """Product of the ascending axes axis(i), of sizes[i] values each, as
+    rows in lexicographic order; the size is capped before any axis exists."""
+    if math.prod(sizes) > MAX_GRID_POINTS:
+        raise ValueError(f"grid would exceed {MAX_GRID_POINTS} points; raise the resolution")
+    mesh = np.meshgrid(*map(axis, range(len(sizes))), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -276,38 +271,37 @@ def phi_norm(f: Polynomial, phi: WeightFunction) -> float:
     return sum(abs(float(c)) * phi(exp) for exp, c in f.terms.items())
 
 
-def fatten(region: Region, eps: float) -> Region:
-    """Grid dilation of the sample set by Euclidean radius eps.
+def _dilations(region: Region, eps_list) -> list[np.ndarray]:
+    """fatten's sample rows for each eps of the ascending eps_list, from one
+    lattice and one k-d tree at the largest eps, as the sets are nested.  A
+    lattice point at distance 0 repeats a sample: dropping it keeps rows distinct."""
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ValueError(f"eps must be given, positive and finite, got {eps_list}")
+    if sorted(eps_list) != eps_list:
+        raise ValueError(f"eps values must be sorted ascending, got {eps_list}")
+    reach = [eps * (1 + 1e-12) for eps in eps_list]  # rounding in the distance
+    res, samples = region.resolution, region.sample_points
+    # k spans the inflated box padded by one step, so rounding loses no point
+    k0 = math.floor(-eps_list[-1] / res) - 1
+    k1 = [math.ceil((hi - lo + eps_list[-1]) / res) + 1 for lo, hi in region.box]
+    grid = _lattice([k - k0 + 1 for k in k1],
+                    lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
+    dist, _ = cKDTree(samples).query(grid, k=1)
+    keep = (dist > 0) & (dist <= reach[-1])
+    pts = np.vstack([samples, grid[keep]])
+    dist = np.concatenate([np.zeros(len(samples)), dist[keep]])
+    order = np.lexsort(pts.T[::-1])
+    pts, dist = pts[order], dist[order]
+    return [pts[dist <= r] for r in reach]
 
-    The box inflates by eps per side; the new sample set is the original
-    samples plus every inflated-grid point within eps of one of them, so
-    the original samples are always a subset of the output.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    box = tuple((lo - eps, hi + eps) for lo, hi in region.box)
-    # anchor the dilation grid at the original box corner so the kept
-    # sample set grows monotonically with eps
-    res = region.resolution
-    axes = []
-    total = 1
-    for (lo, hi), (lo_e, hi_e) in zip(region.box, box):
-        k0 = math.ceil((lo_e - lo) / res - 1e-12)
-        k1 = math.floor((hi_e - lo) / res + 1e-12)
-        total *= k1 - k0 + 1
-        if total > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid would exceed {MAX_GRID_POINTS} points; raise the resolution"
-            )
-        axes.append(lo + res * np.arange(k0, k1 + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    tree = cKDTree(region.sample_points)
-    dist, _ = tree.query(grid, k=1)
-    keep = grid[dist <= eps * (1 + 1e-12)]
-    pts = np.vstack([region.sample_points, keep])
-    pts = np.unique(pts, axis=0)
+
+def fatten(region: Region, eps: float) -> Region:
+    """Grid dilation by Euclidean radius eps: the samples plus every point
+    lo + k*res of the lattice anchored at the box corner within eps of one,
+    in lexicographic order, so the set grows with eps.  The box inflates by eps."""
+    pts, = _dilations(region, [eps])
     pts.setflags(write=False)
+    box = tuple((lo - eps, hi + eps) for lo, hi in region.box)
     return Region(region.n, box, (), region.resolution, pts)
 
 

@@ -175,6 +175,10 @@ def _is_zero_coeff(c) -> bool:
     return abs(c) < FLOAT_ZERO_TOL
 
 
+# Scalars that ring operations promote to a constant polynomial.
+_SCALARS = (int, float, Dyadic, np.integer, np.floating)
+
+
 def _as_coeff(c):
     """Normalize a scalar into a coefficient: int -> Dyadic, float stays float."""
     if isinstance(c, (Dyadic, float)):
@@ -232,7 +236,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * n: _as_coeff(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -259,7 +263,7 @@ class Polynomial:
     # -- ring operations --
 
     def __add__(self, other):
-        if isinstance(other, (int, float, Dyadic, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         self._check_dim(other)
         terms = dict(self.terms)
@@ -279,7 +283,7 @@ class Polynomial:
             self.n, {e: -c for e, c in self.terms.items()}, self.demoted, ordered=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, Dyadic, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         return self + (-other)
 
@@ -287,7 +291,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Dyadic, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n, other)
         self._check_dim(other)
         kinds = {isinstance(c, Dyadic) for c in (*self.terms.values(), *other.terms.values())}

@@ -8,7 +8,8 @@ import pytest
 from cone2d.approx import (PsdViolationError, module_interpolate,
                            psd_on_fattening, series_root, strictness_witness,
                            sup_approximate, tk_approximate)
-from cone2d.norms import Region, WeightFunction, phi_norm
+from cone2d import norms
+from cone2d.norms import Region, WeightFunction, fatten, phi_norm
 from cone2d.poly import Polynomial
 
 
@@ -306,6 +307,33 @@ class TestPsdOnFattening:
         k = Region.from_points([(0.0,)])
         with pytest.raises(ValueError):
             psd_on_fattening(X(1, 0), k, [0.2, 0.1])
+
+    def test_non_finite_eps_rejected(self):
+        k = Region.from_points([(0.0,)])
+        for eps_list in ([0.1, math.inf], [math.nan], [0.1, math.nan, 0.2], [0.0, 0.1]):
+            with pytest.raises(ValueError, match="eps"):
+                psd_on_fattening(X(1, 0), k, eps_list)
+
+    @pytest.mark.parametrize("region", [
+        Region.from_box([(-1, 1)], resolution=0.01),
+        Region.from_box([(0, 1), (0, 1)], resolution=0.05),
+    ], ids=["line", "square"])
+    def test_one_dilation_per_call(self, region, monkeypatch):
+        trees, lattices = [], []
+        tree, lattice = norms.cKDTree, norms._lattice
+        monkeypatch.setattr(norms, "cKDTree", lambda pts: trees.append(1) or tree(pts))
+        monkeypatch.setattr(norms, "_lattice",
+                            lambda *a: lattices.append(1) or lattice(*a))
+        f = X(region.n, 0) ** 2 - 0.3
+        eps_list = [0.02, 0.05, 0.07, 0.1, 0.15]
+        rep = psd_on_fattening(f, region, eps_list)
+        assert len(trees) == len(lattices) == 1
+        # the same entries as a separate fattening at each eps
+        for eps, value, point in rep.entries:
+            pts = fatten(region, eps).sample_points
+            vals = f.evaluate_grid(pts)
+            i = int(np.argmin(vals))
+            assert (value, point) == (float(vals[i]), tuple(pts[i]))
 
 
 def _sample_certificates():

@@ -126,6 +126,10 @@ class TestLoaders:
     ["spectrum", "kphi-box", "--phi", "{lasserre_float_n}", "--degree", "3"],
     ["norms", "phi", "--poly", "{poly}", "--phi", "{table_float_exp}"],
     ["norms", "phi", "--poly", "{poly}", "--phi", "{negative_table}"],
+    ["norms", "rho", "--poly", "{directory}", "--point", "1"],
+    ["witness", "--region", "{region}", "--points", "{pts}", "--degree", "-1"],
+    ["approx", "sup", "--poly", "{poly}", "--region", "{region}", "--eps", "0.1",
+     "--max-degree", "-1"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -141,9 +145,11 @@ class TestLoaders:
         "usage-unknown-command", "region-zero-resolution",
         "region-negative-resolution", "moments-float-n", "moments-float-D",
         "moments-float-exponent", "lasserre-float-n", "table-float-exponent",
-        "table-negative-value"])
-def test_bad_input_exits_2_with_json_error(files, capsys, argv):
+        "table-negative-value", "poly-is-directory", "witness-negative-degree",
+        "sup-negative-max-degree"])
+def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
     paths = {
+        "directory": str(tmp_path),
         "poly": files("p.json", (X(1, 0) ** 2).to_json_dict()),
         "region": files("r.json",
                         Region.from_box([(0, 1)], resolution=0.05).to_json_dict()),

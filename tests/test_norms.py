@@ -133,8 +133,37 @@ class TestFatten:
 
     def test_nonpositive_eps(self):
         k = Region.from_points([(0.0,)])
-        with pytest.raises(ValueError):
-            fatten(k, 0.0)
+        for eps in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                fatten(k, eps)
+
+    @pytest.mark.parametrize("region", [
+        Region.from_box([(-1, 1)], resolution=0.05),
+        Region.from_box([(0, 0.7)], resolution=0.03),
+        Region.from_box([(0, 1), (-0.2, 0.3)], resolution=0.1),
+        Region.from_points([(0.3,), (-0.25,), (0.3,), (0.013,)], resolution=0.05),
+        Region.from_points([(0.0, 0.0), (0.31, -0.2), (0.0, 0.0), (0.1, 0.1)],
+                           resolution=0.05),
+    ], ids=["box-1d", "box-1d-off-lattice", "box-2d", "points-1d", "points-2d"])
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.07, 0.13])
+    def test_matches_brute_force_reference(self, region, eps):
+        # samples plus every lattice point lo + k*res within eps of one,
+        # from a full distance matrix over a lattice wider than the fattening
+        res, samples = region.resolution, region.sample_points
+        pad = int(eps / res) + 3
+        axes = [lo + res * np.arange(-pad, int((hi - lo) / res) + pad + 1)
+                for lo, hi in region.box]
+        lattice = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], -1)
+        dist = np.sqrt(((lattice[:, None] - samples[None]) ** 2).sum(-1)).min(axis=1)
+        kept = lattice[dist <= eps * (1 + 1e-12)]
+        want = sorted({tuple(p) for p in samples} | {tuple(p) for p in kept})
+        got = [tuple(p) for p in fatten(region, eps).sample_points]
+        assert got == want
+
+
+def test_from_points_dedupes_in_lexicographic_order():
+    k = Region.from_points([(1.0, 0.0), (0.0, 2.0), (1.0, 0.0), (0.0, -1.0)])
+    assert k.sample_points.tolist() == [[0.0, -1.0], [0.0, 2.0], [1.0, 0.0]]
 
 
 class TestLasserreThreshold:
