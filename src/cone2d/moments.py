@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack, qr_delete, qr_insert
 
 from .norms import Region, WeightFunction
 from .poly import Polynomial, _wire_int, design_matrix
@@ -232,51 +233,60 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
          max_iter: int | None = None) -> NNLSResult:
     """Lawson-Hanson active-set solution of min ||Ax - b|| s.t. x >= 0.
 
-    On convergence the KKT conditions hold: the gradient component is
-    >= -tol on the active (zero) set and within tol on the passive set.
+    The passive columns' least squares runs on a QR factorization updated
+    as columns enter and leave, one triangular solve per inner step.  A
+    column whose new |R[k, k]| is <= eps * m * ||a_j|| depends numerically
+    on the passive ones and is not admitted for that outer pass.  On
+    convergence the KKT conditions hold: the gradient component is >= -tol
+    on the active (zero) set and within tol on the passive set.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, ncols = a.shape
     if b.shape != (m,):
         raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}")
-    if max_iter is None:
-        max_iter = 3 * ncols
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")  # the updates skip this check
+    max_iter = 3 * ncols if max_iter is None else max_iter
 
+    at = np.ascontiguousarray(a.T)
     x = np.zeros(ncols)
-    passive = np.zeros(ncols, dtype=bool)
-    resid = b.copy()
-    iterations = 0
-    trace = [float(np.linalg.norm(resid))]
+    passive = []  # column indices, in the order they entered Q R
+    q, r = np.eye(m), np.empty((m, 0))
+    resid, iterations, converged = b, 0, False
+    trace = [float(np.linalg.norm(b))]
     for _ in range(max_iter):
-        w = a.T @ resid  # negative gradient
-        inactive = ~passive
-        if not inactive.any() or np.max(w[inactive], initial=-np.inf) <= tol:
+        w = at @ resid  # negative gradient
+        w[passive] = -np.inf
+        while len(passive) < min(m, ncols) and w[j := int(np.argmax(w))] > tol:
+            k = len(passive)
+            q, r = qr_insert(q, r, at[j], k, "col", overwrite_qru=True, check_finite=False)
+            if abs(r[k, k]) > np.finfo(float).eps * m * np.linalg.norm(at[j]):
+                break
+            r, w[j] = r[:, :k], -np.inf  # Q still factors the first k
+        else:
+            converged = True
             break
-        j = int(np.argmax(np.where(inactive, w, -np.inf)))
-        passive[j] = True
+        passive.append(j)
         while True:
             iterations += 1
-            idx = np.flatnonzero(passive)
-            z = np.zeros(ncols)
-            sol, _, _, _ = np.linalg.lstsq(a[:, idx], b, rcond=None)
-            z[idx] = sol
-            if np.all(z[idx] > 0):
-                x = z
+            k = len(passive)
+            z = lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0] if k else np.zeros(0)
+            xp = x[passive]
+            if np.all(z > 0):
+                x[passive] = z
                 break
-            # Line search back toward feasibility, then shrink the set.
-            mask = passive & (z <= 0)
-            alphas = x[mask] / (x[mask] - z[mask])
-            alpha = np.min(alphas)
-            x = x + alpha * (z - x)
-            passive[x <= tol] = False
-            x[~passive] = 0.0
-        resid = b - a @ x
+            # Line search to feasibility (0/0 steps 0); the blocking column lands on 0.
+            neg = np.flatnonzero(z <= 0)
+            steps = xp[neg] / np.maximum(xp[neg] - z[neg], np.finfo(float).tiny)
+            xp += np.min(steps) * (z - xp)
+            xp[neg[np.argmin(steps)]] = 0.0
+            x[passive] = xp
+            for i in np.flatnonzero(xp <= tol)[::-1]:
+                q, r = qr_delete(q, r, i, which="col", overwrite_qr=True, check_finite=False)
+                x[passive.pop(i)] = 0.0
+        resid = b - x[passive] @ at[passive]
         trace.append(float(np.linalg.norm(resid)))
-    else:
-        return NNLSResult(x, float(np.linalg.norm(resid)), False, iterations,
-                          tuple(trace))
-    return NNLSResult(x, float(np.linalg.norm(resid)), True, iterations,
+    return NNLSResult(x, float(np.linalg.norm(resid)), converged, iterations,
                       tuple(trace))
 
 

@@ -280,10 +280,11 @@ def _dilations(region: Region, eps_list) -> list[np.ndarray]:
     if sorted(eps_list) != eps_list:
         raise ValueError(f"eps values must be sorted ascending, got {eps_list}")
     reach = [eps * (1 + 1e-12) for eps in eps_list]  # rounding in the distance
-    res, samples = region.resolution, region.sample_points
-    # k spans the inflated box padded by one step, so rounding loses no point
-    k0 = math.floor(-eps_list[-1] / res) - 1
-    k1 = [math.ceil((hi - lo + eps_list[-1]) / res) + 1 for lo, hi in region.box]
+    res, samples, e_max = region.resolution, region.sample_points, float(eps_list[-1])
+    # k spans the inflated box padded by one step, so rounding loses no point;
+    # k stays a float, so a huge eps overflows to inf and meets _lattice's cap
+    k0 = np.floor(-e_max / res) - 1
+    k1 = [np.ceil((float(hi - lo) + e_max) / res) + 1 for lo, hi in region.box]
     grid = _lattice([k - k0 + 1 for k in k1],
                     lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
     dist, _ = cKDTree(samples).query(grid, k=1)

@@ -136,6 +136,9 @@ class TestFatten:
         for eps in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="eps"):
                 fatten(k, eps)
+        for eps in (1e20, 1e308):  # finite, but past the grid cap
+            with pytest.raises(ValueError, match="exceed"):
+                fatten(k, eps)
 
     @pytest.mark.parametrize("region", [
         Region.from_box([(-1, 1)], resolution=0.05),
