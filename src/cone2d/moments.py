@@ -5,6 +5,8 @@ nonnegative least squares on a region's sample grid.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -12,7 +14,7 @@ import numpy as np
 from scipy.linalg import lapack, qr_delete, qr_insert
 
 from .norms import Region, WeightFunction
-from .poly import Polynomial, _wire_int, design_matrix
+from .poly import Polynomial, _wire_entries, _wire_int, _wire_real, design_matrix
 from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
@@ -78,14 +80,9 @@ class MomentFunctional:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentFunctional":
-        moments = {}
-        for entry in data["moments"]:
-            exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
-            if exp in moments:
-                raise ValueError(f"duplicate moment exponent {list(exp)}")
-            moments[exp] = float(entry["val"])
         return cls(_wire_int(data["n"], "variable count n"),
-                   _wire_int(data["D"], "degree D"), moments)
+                   _wire_int(data["D"], "degree D"),
+                   _wire_entries(data["moments"], "val", _wire_real))
 
 
 def from_measure(mu: AtomicMeasure, degree: int) -> MomentFunctional:
@@ -131,11 +128,8 @@ def hankel_psd_check(functional: MomentFunctional, tol: float = 1e-10) -> PsdVer
         raise ValueError("hankel check needs degree >= 2")
     half = functional.degree // 2
     monos = monomials_upto(functional.n, half)
-    size = len(monos)
-    mat = np.empty((size, size))
-    for i, s in enumerate(monos):
-        for j, t in enumerate(monos):
-            mat[i, j] = functional.moments[tuple(a + b for a, b in zip(s, t))]
+    mat = np.array([[functional.moments[tuple(map(operator.add, s, t))] for t in monos]
+                    for s in monos], dtype=float)
     eigvals, eigvecs = np.linalg.eigh(mat)
     min_eig = float(eigvals[0])
     threshold = -tol * (1 + float(np.max(np.abs(mat))))
@@ -170,29 +164,19 @@ def power_psd_check(functional: MomentFunctional, d: int, trials: int = 50,
             f"nonconstant h with deg(h**{2 * d}) <= D"
         )
     rng = np.random.default_rng(seed)
-    monos = monomials_upto(functional.n, min(h_degree, 1))
-    net_values = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    candidates = []
-    if len(monos) <= 4:
-        grids = np.meshgrid(*[net_values] * len(monos), indexing="ij")
-        for combo in np.stack([g.ravel() for g in grids], axis=-1):
-            candidates.append({exp: float(c) for exp, c in zip(monos, combo)
-                               if c != 0.0})
+    monos = monomials_upto(functional.n, 1)
+    net = itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=len(monos))
+    candidates = [{exp: c for exp, c in zip(monos, combo) if c}
+                  for combo in (net if len(monos) <= 4 else ()) if any(combo)]
     all_monos = monomials_upto(functional.n, h_degree)
-    for _ in range(trials):
-        coeffs = rng.standard_normal(len(all_monos))
-        candidates.append({exp: float(c) for exp, c in zip(all_monos, coeffs)})
-
-    count = 0
-    for terms in candidates:
-        if not terms:
-            continue
-        count += 1
+    candidates += [dict(zip(all_monos, rng.standard_normal(len(all_monos)).tolist()))
+                   for _ in range(trials)]
+    for count, terms in enumerate(candidates, 1):
         h = Polynomial(functional.n, terms)
         val = functional(h ** (2 * d))
         if val < -tol:
             return PowerVerdict(False, h, val, count)
-    return PowerVerdict(True, None, None, count)
+    return PowerVerdict(True, None, None, len(candidates))
 
 
 class ContinuityReport(NamedTuple):
@@ -207,18 +191,13 @@ def phi_continuity(functional: MomentFunctional,
                    phi: WeightFunction) -> ContinuityReport:
     if functional.n != phi.n:
         raise ValueError(f"variable count mismatch: {functional.n} vs {phi.n}")
-    table = []
-    best = 0.0
-    for k in range(functional.degree + 1):
-        for exp in monomials_upto(functional.n, k):
-            if sum(exp) != k:
-                continue
-            w = phi(exp)
-            if w <= 0:
-                raise ValueError(f"weight vanishes at exponent {list(exp)}")
-            best = max(best, abs(functional.moments[exp]) / w)
-        table.append(best)
-    return ContinuityReport(table[-1], tuple(table))
+    table = [0.0] * (functional.degree + 1)  # max over each degree, then a running max
+    for exp in monomials_upto(functional.n, functional.degree):
+        if (w := phi(exp)) <= 0:
+            raise ValueError(f"weight vanishes at exponent {list(exp)}")
+        table[sum(exp)] = max(table[sum(exp)], abs(functional.moments[exp]) / w)
+    table = tuple(itertools.accumulate(table, max))
+    return ContinuityReport(table[-1], table)
 
 
 class NNLSResult(NamedTuple):
@@ -322,7 +301,9 @@ def measure_recover(functional: MomentFunctional, region: Region,
     monos = monomials_upto(functional.n, functional.degree)
     a = design_matrix(atoms, monos).T
     b = np.array([functional.moments[exp] for exp in monos])
-    result = nnls(a, b, tol=1e-12)
+    # Row 0 of a is all ones, so ||x||_1 = L(1) = b[0] for x >= 0: a gradient
+    # below tol**2 / (16 L(1)) leaves a residual below tol where an x* >= 0 fits.
+    result = nnls(a, b, tol=min(1e-12, tol**2 / (16 * b[0])) if b[0] > 0 else 1e-12)
     keep = result.x > 0
     measure = AtomicMeasure.of(atoms[keep], result.x[keep])
     return RecoveryResult(measure, result.residual_norm,

@@ -9,6 +9,7 @@ LOWER bounds on the true sup, converging as the resolution shrinks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import Polynomial, _wire_int
+from .poly import Polynomial, _wire_entries, _wire_int, _wire_real
 
 # Boundary points of semialgebraic regions are kept down to this slack.
 INEQ_TOL = -1e-12
@@ -31,13 +32,12 @@ class WeightFunction:
     Kinds: "one" (constant 1), "geometric" (prod_i radii[i]**s_i),
     "lasserre" (factorial weight (2*ceil(|s|/2))!), "table" (explicit map).
 
-    When ``is_absolute_value`` is set, submultiplicativity
-    w(s+t) <= w(s) * w(t) is checked lazily on queried exponent pairs and
-    a violation is a hard error.  The factorial kind is never an absolute
-    value: w(e1 + s) with |s| = 2 gives 24 > 2 * 2.
+    When ``is_absolute_value`` is set on a table weight, a query of s checks
+    w(s+t) <= w(s) * w(t) for every table entry t with s+t in the table, in
+    O(table size), and a violation is a hard error; the weight holds no state
+    after construction.  The factorial kind is never an absolute value:
+    w(e1 + s) with |s| = 2 gives 24 > 2 * 2.
     """
-
-    _CHECK_CACHE = 64
 
     def __init__(self, n: int, kind: str, radii=None, table=None,
                  is_absolute_value=None):
@@ -63,7 +63,6 @@ class WeightFunction:
         if is_absolute_value and kind == "lasserre":
             raise ValueError("the factorial weight is not an absolute value")
         self.is_absolute_value = bool(is_absolute_value)
-        self._seen: list[tuple] = []
         zero = (0,) * n
         if abs(self(zero) - 1.0) > 1e-12:
             raise ValueError(f"weight at 0 must be 1, got {self(zero)}")
@@ -105,23 +104,15 @@ class WeightFunction:
         if v is None:
             raise ValueError(f"table weight has no entry for exponent {list(exp)}")
         if self.is_absolute_value and self.kind == "table":
-            self._lazy_check(exp, v)
+            for t, vt in self.table.items():
+                st = tuple(map(operator.add, exp, t))
+                vst = self.table.get(st)
+                if vst is not None and vst > v * vt * (1 + 1e-12):
+                    raise ValueError(
+                        f"absolute-value violation: w({list(st)}) = {vst} > "
+                        f"w({list(exp)}) * w({list(t)}) = {v * vt}"
+                    )
         return v
-
-    def _lazy_check(self, exp, v):
-        for t in self._seen + [exp]:
-            st = tuple(a + b for a, b in zip(exp, t))
-            vst = self._raw(st)
-            if vst is None:
-                continue
-            if vst > v * self._raw(t) * (1 + 1e-12):
-                raise ValueError(
-                    f"absolute-value violation: w({list(st)}) = {vst} > "
-                    f"w({list(exp)}) * w({list(t)}) = {v * self._raw(t)}"
-                )
-        if exp not in self._seen:
-            self._seen.append(exp)
-            del self._seen[: -self._CHECK_CACHE]
 
     def to_json_dict(self) -> dict:
         if self.kind == "geometric":
@@ -138,14 +129,10 @@ class WeightFunction:
     def from_json_dict(cls, data: dict) -> "WeightFunction":
         kind = data["kind"]
         if kind == "geometric":
-            return cls.geometric(data["radii"])
+            return cls.geometric([_wire_real(r, "radius") for r in data["radii"]])
         if kind == "table":
-            table = {tuple(_wire_int(x, "exponent") for x in e["exp"]): e["val"]
-                     for e in data["entries"]}
-            if not table:
-                raise ValueError("table weight needs explicit entries")
-            n = len(next(iter(table)))
-            return cls(n, "table", table=table,
+            table = _wire_entries(data["entries"], "val", _wire_real)
+            return cls(len(next(iter(table), ())), "table", table=table,
                        is_absolute_value=data.get("is_absolute_value", False))
         if kind in ("one", "lasserre"):
             return cls(_wire_int(data.get("n", 1), "variable count n"), kind)
@@ -175,16 +162,17 @@ class Region:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         n = len(box)
         for lo, hi in box:
-            if hi < lo:
+            if not lo <= hi:
                 raise ValueError(f"empty box side [{lo}, {hi}]")
         resolution = _resolution(box, resolution)
         ineqs = tuple(ineqs)
         for g in ineqs:
             if g.n != n:
                 raise ValueError(f"inequality has {g.n} variables, box has {n}")
-        sizes = [1 if hi == lo else max(2, int(round((hi - lo) / resolution)) + 1)
+        # float sizes (np.rint rounds half to even) meet _lattice's cap before int()
+        sizes = [1 if hi == lo else max(2, np.rint((hi - lo) / resolution) + 1)
                  for lo, hi in box]
-        pts = _lattice(sizes, lambda i: np.linspace(*box[i], sizes[i]))
+        pts = _lattice(sizes, lambda i: np.linspace(*box[i], int(sizes[i])))
         for g in ineqs:
             pts = pts[g.evaluate_grid(pts) >= INEQ_TOL]
         if pts.shape[0] == 0:

@@ -463,14 +463,8 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
-        n = _wire_int(data["n"], "variable count n")
-        terms = {}
-        for entry in data.get("terms", []):
-            exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
-            if exp in terms:
-                raise ValueError(f"duplicate exponent vector {list(exp)}")
-            terms[exp] = parse_coefficient(entry["coeff"])
-        return cls(n, terms)
+        return cls(_wire_int(data["n"], "variable count n"),
+                   _wire_entries(data.get("terms", []), "coeff", parse_coefficient))
 
     @classmethod
     def loads(cls, text: str) -> "Polynomial":
@@ -481,6 +475,26 @@ def _wire_int(raw, what: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {raw!r}")
     return int(raw)
+
+
+def _wire_real(raw, what: str = "value") -> float:
+    """A finite JSON number as a float; booleans and strings are rejected."""
+    if (isinstance(raw, bool) or not isinstance(raw, (int, *_FLOATS))
+            or not math.isfinite(raw)):
+        raise ValueError(f"{what} must be a finite number, got {raw!r}")
+    return float(raw)
+
+
+def _wire_entries(entries, key: str, parse) -> dict:
+    """The map exponent tuple -> parse(entry[key]) of a list of
+    {"exp": [...], key: ...} entries; a repeated exponent is an error."""
+    out = {}
+    for entry in entries:
+        exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
+        if exp in out:
+            raise ValueError(f"duplicate exponent vector {list(exp)}")
+        out[exp] = parse(entry[key])
+    return out
 
 
 def parse_coefficient(raw):
@@ -496,7 +510,7 @@ def parse_coefficient(raw):
     if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool):
         return Dyadic(int(raw))
     if isinstance(raw, (float, np.floating)):
-        return float(raw)
+        return _wire_real(raw, "coefficient")
     raise ValueError(f"unparseable coefficient {raw!r}")
 
 

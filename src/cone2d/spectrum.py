@@ -13,13 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .norms import WeightFunction
-from .poly import Polynomial, design_matrix, grlex_key
+from .poly import Polynomial, design_matrix
 
 DEFAULT_RANK_TOL = 1e-10
 
 
 def monomials_upto(n: int, degree: int) -> list[tuple]:
-    """All exponent vectors with |s| <= degree, graded lex order."""
+    """All exponent vectors with |s| <= degree, in graded lex order: each degree's
+    index multisets come in lex order, which is descending lex order of exponents."""
     exps = []
     for d in range(degree + 1):
         for combo in combinations_with_replacement(range(n), d):
@@ -27,7 +28,7 @@ def monomials_upto(n: int, degree: int) -> list[tuple]:
             for i in combo:
                 exp[i] += 1
             exps.append(tuple(exp))
-    return sorted(set(exps), key=grlex_key)
+    return exps
 
 
 def coefficient_space_dim(n: int, degree: int) -> int:

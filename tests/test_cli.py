@@ -130,6 +130,11 @@ class TestLoaders:
     ["witness", "--region", "{region}", "--points", "{pts}", "--degree", "-1"],
     ["approx", "sup", "--poly", "{poly}", "--region", "{region}", "--eps", "0.1",
      "--max-degree", "-1"],
+    ["moments", "check", "--moments", "{moments_bool_val}"],
+    ["moments", "check", "--moments", "{moments_string_val}"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{table_bool_val}"],
+    ["norms", "phi", "--poly", "{poly}", "--phi", "{table_duplicate}"],
+    ["spectrum", "kphi-box", "--phi", "{geometric_string}", "--degree", "3"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -146,7 +151,8 @@ class TestLoaders:
         "region-negative-resolution", "moments-float-n", "moments-float-D",
         "moments-float-exponent", "lasserre-float-n", "table-float-exponent",
         "table-negative-value", "poly-is-directory", "witness-negative-degree",
-        "sup-negative-max-degree"])
+        "sup-negative-max-degree", "moments-bool-value", "moments-string-value",
+        "table-bool-value", "table-duplicate-exponent", "geometric-string-radius"])
 def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
     paths = {
         "directory": str(tmp_path),
@@ -195,6 +201,18 @@ def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
         "negative_table": files("wn.json", {"kind": "table", "entries": [
             {"exp": [0], "val": 1.0}, {"exp": [1], "val": 1.0},
             {"exp": [2], "val": -2.0}]}),
+        "moments_bool_val": files("mb.json", {"n": 1, "D": 2, "moments": [
+            {"exp": [0], "val": True}, {"exp": [1], "val": 0.0},
+            {"exp": [2], "val": -1.0}]}),
+        "moments_string_val": files("ms.json", {"n": 1, "D": 2, "moments": [
+            {"exp": [0], "val": 1.0}, {"exp": [1], "val": 0.0},
+            {"exp": [2], "val": "0.5"}]}),
+        "table_bool_val": files("wb.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [2], "val": True}]}),
+        "table_duplicate": files("wd.json", {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [2], "val": 1.0},
+            {"exp": [2], "val": 2.0}]}),
+        "geometric_string": files("wg.json", {"kind": "geometric", "radii": ["0.5"]}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

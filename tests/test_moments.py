@@ -324,11 +324,11 @@ class TestRecovery:
         assert rec.residual < 1e-6
         assert all(w >= 0 for w in rec.measure.weights)
 
-    @pytest.mark.xfail(strict=True, reason="known miss: residual 1.15e-6 "
-                       "against tol 1e-6 although the atoms lie on the grid")
     def test_on_grid_atomic_recorded_miss(self):
         # 2-D, D = 8 moments of an atomic measure on the atoms2 grid of
-        # perfbench cli_moments seed 306 (job 62): NNLS stalls at 1.15e-6.
+        # perfbench cli_moments seed 306 (job 62): NNLS at a gradient
+        # tolerance of 1e-12 stalled at 1.15e-6; the tolerance derived from
+        # the residual tolerance recovers the measure.
         data = json.loads((Path(__file__).parent / "data"
                            / "recover_miss_moments.json").read_text())
         k = Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025)

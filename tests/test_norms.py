@@ -82,11 +82,33 @@ class TestPhiNorm:
     def test_missing_or_overflowing_weight_is_value_error(self):
         w = WeightFunction(1, "table", table={(0,): 1.0, (1,): 0.5},
                            is_absolute_value=True)
-        assert w((1,)) == 0.5  # the lazy check skips the absent w((2,))
+        assert w((1,)) == 0.5  # the check skips the absent w((2,))
         with pytest.raises(ValueError, match="no entry"):
             w((2,))
         with pytest.raises(ValueError, match="float range"):
             WeightFunction.lasserre(1)((200,))
+
+    def test_table_check_independent_of_query_history(self):
+        # w((1,1)) = 3 > w((1,0)) * w((0,1)); 70 valid entries besides
+        table = {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0, (1, 1): 3.0,
+                 **{(0, 100 + k): 1.0 for k in range(70)}}
+        fresh = WeightFunction(2, "table", table=table, is_absolute_value=True)
+        with pytest.raises(ValueError, match="violation"):
+            fresh((1, 0))
+        used = WeightFunction(2, "table", table=table, is_absolute_value=True)
+        used((0, 0))
+        for k in range(70):
+            assert used((0, 100 + k)) == 1.0
+        with pytest.raises(ValueError, match="violation"):
+            used((1, 0))
+        with pytest.raises(ValueError, match="violation"):
+            used((0, 1))
+
+    def test_table_json_rejects_repeated_exponent(self):
+        data = {"kind": "table", "entries": [
+            {"exp": [0], "val": 1.0}, {"exp": [2], "val": 1.0}, {"exp": [2], "val": 2.0}]}
+        with pytest.raises(ValueError, match="duplicate"):
+            WeightFunction.from_json_dict(data)
 
     def test_geometric(self):
         phi = WeightFunction.geometric((2.0, 0.5))
@@ -214,6 +236,16 @@ class TestRegion:
         k = Region.from_box([(0, 1)])
         with pytest.raises(ValueError):
             k.sample_points[0] = 99.0
+
+    @pytest.mark.parametrize("box, resolution", [
+        ([(-1e308, 1e308)], 1.0), ([(0, 1e300)], 1e-10)])
+    def test_overflowing_side_meets_size_cap(self, box, resolution):
+        with pytest.raises(ValueError, match="exceed"):
+            Region.from_box(box, resolution=resolution)
+
+    def test_nan_side_rejected(self):
+        with pytest.raises(ValueError, match="box side"):
+            Region.from_box([(0.0, float("nan"))], resolution=0.1)
 
 
 def small_polys(n):

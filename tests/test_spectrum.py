@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cone2d.norms import WeightFunction
+from cone2d.poly import grlex_key
 from cone2d.spectrum import (coefficient_space_dim, is_hausdorff, kphi_box,
                              kphi_contains, monomials_upto,
                              vanishing_ideal_basis)
@@ -22,6 +24,13 @@ class TestMonomials:
         assert ms[0] == (0, 0)
         degs = [sum(m) for m in ms]
         assert degs == sorted(degs)
+
+    def test_equals_sorted_reference(self):
+        for n in range(1, 5):
+            for d in range(13):
+                cube = itertools.product(range(d + 1), repeat=n)
+                ref = sorted(set(s for s in cube if sum(s) <= d), key=grlex_key)
+                assert monomials_upto(n, d) == ref, (n, d)
 
 
 class TestKphiContains:
