@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from .norms import Region, WeightFunction, _dilations, phi_norm, sup_norm
@@ -22,6 +23,11 @@ from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
 NODE_TIE_TOL = 1e-12
+# A Chebyshev fit's Gram matrix counts as numerically singular, and the fit
+# falls back to SVD least squares in monomials, when its Cholesky factor's
+# least diagonal entry is at most this times its largest: then cond(Gram)
+# >= 1e8, and the normal equations would lose half the float digits.
+GRAM_RCOND = 1e-4
 # Candidate c of module_interpolate's separating form x1 + c*x2 + ...
 _SEPARATING_COEFFS = (Dyadic(3, 3), Dyadic(5, 4), Dyadic(11, 4), Dyadic(13, 5))
 
@@ -155,6 +161,57 @@ def _power_gap(fvals, b: Polynomial, d: int, samples) -> dict:
     gap = np.abs(fvals - b.evaluate_grid(samples) ** (2 * d))
     i = int(np.argmax(gap))
     return {"sup": float(gap[i]), "argmax": tuple(samples[i])}
+
+
+def _cholesky_solve(gram, rhs):
+    """x with gram @ x = rhs by Cholesky, or None when cho_factor fails or
+    the factor's diagonal marks gram numerically singular (GRAM_RCOND)."""
+    try:
+        factor = cho_factor(gram)
+    except LinAlgError:
+        return None
+    diag = np.abs(np.diag(factor[0]))
+    if diag.min() <= GRAM_RCOND * diag.max():
+        return None
+    return cho_solve(factor, rhs)
+
+
+def _chebyshev_powers(top: int, lo: float, hi: float) -> np.ndarray:
+    """Row e: the coefficients of x**0 .. x**top in T_e(s*x + c), the
+    Chebyshev polynomial on [lo, hi] mapped to [-1, 1], for e = 0 .. top."""
+    s, c = 2 / (hi - lo), -(lo + hi) / (hi - lo)
+    rows = np.zeros((top + 1, top + 1))
+    rows[0, 0] = 1.0
+    if top:
+        rows[1, :2] = c, s
+    for e in range(1, top):
+        rows[e + 1] = 2 * c * rows[e] - rows[e - 1]
+        rows[e + 1, 1:] += 2 * s * rows[e, :-1]
+    return rows
+
+
+def _to_monomials(coeffs, monos, box) -> np.ndarray:
+    """Monomial coefficients, in monos order, of the polynomial whose
+    coefficients in the basis of design_matrix(., monos, box) are coeffs:
+    one per-variable change of basis along each axis of a dense tensor."""
+    top = max(max(exp) for exp in monos)
+    idx = tuple(np.array(monos, dtype=np.intp).T)
+    tensor = np.zeros((top + 1,) * len(box))
+    tensor[idx] = coeffs
+    for axis, (lo, hi) in enumerate(box):
+        if hi != lo:
+            tensor = np.moveaxis(np.tensordot(_chebyshev_powers(top, lo, hi), tensor,
+                                              axes=(0, axis)), 0, axis)
+    return tensor[idx]
+
+
+def _chebyshev_fit(samples, monos, box, target):
+    """Monomial coefficients of the least-squares fit of target on the
+    samples, solved by Cholesky on the normal equations in the box's
+    Chebyshev basis; None when its Gram matrix is numerically singular."""
+    a = design_matrix(samples, monos, box)
+    coeffs = _cholesky_solve(a.T @ a, a.T @ target)
+    return None if coeffs is None else _to_monomials(coeffs, monos, box)
 
 
 def _binomial_coeffs(r: float, d: int, n_terms: int, sign: int) -> list:
@@ -294,7 +351,11 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     """Approximate f in the sampled sup-norm by b**(2d).
 
     The continuous target (f + eps/2)**(1/2d) is fitted by discrete
-    least squares over the region's sample grid; success means
+    least squares over the region's sample grid: Cholesky on the normal
+    equations in the total-degree Chebyshev basis of the region's box, and
+    b converted to monomials once; where that Gram matrix is numerically
+    singular (GRAM_RCOND), SVD least squares on column-scaled monomials,
+    whose rank deficiency the message reports.  Success means
     ||f - b**(2d)|| < eps on the samples.  On failure the certificate
     carries the best residual and the degree used.
     """
@@ -315,17 +376,19 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
 
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
-    a = design_matrix(samples, monos)
-    scale = np.max(np.abs(a), axis=0)
-    scale[scale == 0] = 1.0
-    coeffs, _, rank, _ = np.linalg.lstsq(a / scale, target, rcond=None)
-    coeffs = coeffs / scale
+    message = ""
+    coeffs = _chebyshev_fit(samples, monos, region.box, target)
+    if coeffs is None:
+        a = design_matrix(samples, monos)
+        scale = np.max(np.abs(a), axis=0)
+        scale[scale == 0] = 1.0
+        coeffs, _, rank, _ = np.linalg.lstsq(a / scale, target, rcond=None)
+        coeffs = coeffs / scale
+        if rank < len(monos):
+            message = f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
     b = Polynomial(f.n, {exp: float(ci) for exp, ci in zip(monos, coeffs)})
 
     residuals = _power_gap(fvals, b, d, samples)
-    message = ""
-    if rank < len(monos):
-        message = f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
     return Certificate("sup", residuals["sup"] < eps, params,
                        {"b": b, "d": d, "fit_degree": max_fit_degree},
                        residuals, message=message)
@@ -412,12 +475,53 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
                     lambda res: max(res["per_point"]) < 1e-9)
 
 
+def _constrained_fit(anchors, rhs, samples, bump, monos, box):
+    """(monomial coefficients x, feasibility |C x0 - rhs|) of the least-
+    squares fit of bump on the samples subject to C x = rhs at the anchors,
+    in the box's Chebyshev basis, by the null-space method x = x0 + Z y:
+    one SVD of C gives x0 and Z, and y solves the normal equations by
+    Cholesky.  None when Z^T A^T A Z is numerically singular."""
+    constraints = design_matrix(anchors, monos, box)
+    u, sigma, vt = np.linalg.svd(constraints)
+    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+    x0 = vt[:rank].T @ (u[:, :rank].T @ rhs / sigma[:rank])
+    feas = np.linalg.norm(constraints @ x0 - rhs)
+    z = vt[rank:].T
+    x = x0
+    if z.shape[1] > 0:
+        a = design_matrix(samples, monos, box)
+        gram = a.T @ a
+        y = _cholesky_solve(z.T @ gram @ z, z.T @ (a.T @ bump - gram @ x0))
+        if y is None:
+            return None
+        x = x0 + z @ y
+    return _to_monomials(x, monos, box), feas
+
+
+def _constrained_lstsq(anchors, rhs, samples, bump, monos):
+    """_constrained_fit in monomials by SVD least squares, for fits whose
+    Gram matrix is numerically singular."""
+    constraints = design_matrix(anchors, monos)
+    x0, _, _, _ = np.linalg.lstsq(constraints, rhs, rcond=None)
+    feas = np.linalg.norm(constraints @ x0 - rhs)
+    _, sigma, vt = np.linalg.svd(constraints)
+    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+    z = vt[rank:].T
+    if z.shape[1] > 0:
+        a_mat = design_matrix(samples, monos)
+        y, _, _, _ = np.linalg.lstsq(a_mat @ z, bump - a_mat @ x0, rcond=None)
+        return x0 + z @ y, feas
+    return x0, feas
+
+
 def strictness_witness(points, region: Region, eps: float,
                        fit_degree: int) -> Certificate:
     """Witness that the sup-norm ball contains no evaluation-seminorm
     neighborhood: a polynomial small at all the given points yet of
     sampled sup-norm near 1, via a constrained fit to a bump target
-    vanishing near the points and equal to 1 at a separated sample.
+    vanishing near the points and equal to 1 at a separated sample.  The
+    fit runs in the Chebyshev basis of the region's box and falls back to
+    SVD least squares in monomials as ``sup_approximate`` does.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -439,24 +543,12 @@ def strictness_witness(points, region: Region, eps: float,
     point_list = [tuple(p) for p in pts]
     params = {"points": point_list, "region": region, "eps": eps,
               "fit_degree": fit_degree}
-    constraints = design_matrix(np.vstack([pts, beta]), monos)
     rhs = np.zeros(len(pts) + 1)
     rhs[-1] = 1.0
-
-    # Equality-constrained least squares on the bump target via the
-    # null-space method: x = x0 + Z y with C x0 = rhs, C Z = 0.
-    x0, _, _, _ = np.linalg.lstsq(constraints, rhs, rcond=None)
-    feas = np.linalg.norm(constraints @ x0 - rhs)
-    u, sigma, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
-    z = vt[rank:].T
-    a_mat = design_matrix(samples, monos)
     bump = np.clip(dist / dist[ib], 0.0, 1.0) ** 2
-    if z.shape[1] > 0:
-        y, _, _, _ = np.linalg.lstsq(a_mat @ z, bump - a_mat @ x0, rcond=None)
-        x = x0 + z @ y
-    else:
-        x = x0
+    anchors = np.vstack([pts, beta])
+    x, feas = (_constrained_fit(anchors, rhs, samples, bump, monos, region.box)
+               or _constrained_lstsq(anchors, rhs, samples, bump, monos))
     a_poly = Polynomial(region.n, {exp: float(ci) for exp, ci in zip(monos, x)})
 
     cert = _checked("witness", params, {"a": a_poly, "beta": beta},

@@ -23,7 +23,7 @@ from .moments import (MomentFunctional, hankel_psd_check, measure_recover,
                       phi_continuity)
 from .norms import (Region, WeightFunction, lasserre_threshold, phi_norm,
                     rho_alpha, sup_norm)
-from .poly import Polynomial
+from .poly import Polynomial, _wire_real
 from .spectrum import kphi_box, vanishing_ideal_basis
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _points(data):
     pts = data.get("points") if isinstance(data, dict) else data
     if not pts:
         raise ValueError("no points found")
-    return [tuple(_finite(v) for v in p) for p in pts]
+    return [tuple(_wire_real(v, "coordinate") for v in p) for p in pts]
 
 
 # Input file flag -> (label in error messages, parser of its JSON content).

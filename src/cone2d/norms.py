@@ -203,7 +203,11 @@ class Region:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
         ineqs = tuple(Polynomial.from_json_dict(g) for g in data.get("ineqs", []))
-        return cls.from_box(data["box"], ineqs, data.get("resolution"))
+        box = [(_wire_real(lo, "box side"), _wire_real(hi, "box side"))
+               for lo, hi in data["box"]]
+        resolution = data.get("resolution")
+        return cls.from_box(box, ineqs, None if resolution is None
+                            else _wire_real(resolution, "resolution"))
 
 
 def _resolution(box, resolution) -> float:

@@ -134,26 +134,47 @@ class Dyadic:
         return f"{self.m}/{1 << self.k}"
 
 
-def design_matrix(points, exps) -> np.ndarray:
-    """Monomial design matrix of an (N, n) point array: entry [j, k] is
-    points[j] ** exps[k], as an (N, len(exps)) float array.
+def design_matrix(points, exps, box=None) -> np.ndarray:
+    """Tensor-basis design matrix of an (N, n) point array: entry [j, k] is
+    prod_i B_i(exps[k][i], points[j][i]), as an (N, len(exps)) float array.
 
-    Built from per-variable power tables x_i**0 .. x_i**max_e by repeated
-    multiplication; numpy's ``**`` is many times slower on negative bases.
-    The result is the transpose of a C-ordered (len(exps), N) array.
+    With no box, B_i(e, x) = x**e: the monomial design.  With a box of
+    (lo, hi) sides, B_i(e, x) = T_e((2x - lo - hi) / (hi - lo)), the
+    Chebyshev polynomial of the first kind on side i mapped to [-1, 1];
+    a side with hi == lo keeps x**e.  Each variable's table
+    B_i(0..max_e, x_i) is built by recurrence (x**e = x * x**(e-1), or
+    T_e = 2t * T_(e-1) - T_(e-2)); numpy's ``**`` is many times slower on
+    negative bases.  Rows of the first table are gathered once and the
+    others multiplied into them in place, so no second (len(exps), N)
+    temporary exists.  The result is the transpose of a C-ordered
+    (len(exps), N) array.
     """
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), points.shape[1])
-    out = np.ones((exps.shape[0], points.shape[0]))
-    for x, col in zip(points.T, exps.T):
+    sides = [(0.0, 0.0)] * points.shape[1] if box is None else box
+    out = None
+    for x, col, (lo, hi) in zip(points.T, exps.T, sides):
         top = int(col.max(initial=0))
         if top == 0:
             continue
         table = np.empty((top + 1, points.shape[0]))
         table[0] = 1.0
-        for e in range(1, top + 1):
-            np.multiply(table[e - 1], x, out=table[e])
-        out *= table[col]
+        if hi == lo:
+            for e in range(1, top + 1):
+                np.multiply(table[e - 1], x, out=table[e])
+        else:
+            table[1] = (2 * x - lo - hi) / (hi - lo)
+            t2 = 2 * table[1]
+            for e in range(2, top + 1):
+                np.multiply(table[e - 1], t2, out=table[e])
+                table[e] -= table[e - 2]
+        if out is None:
+            out = table[col]
+        else:
+            for row, e in zip(out, col.tolist()):
+                row *= table[e]
+    if out is None:
+        out = np.ones((exps.shape[0], points.shape[0]))
     return out.T
 
 

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cone2d import approx, norms
 from cone2d.approx import (PsdViolationError, module_interpolate,
                            psd_on_fattening, series_root, strictness_witness,
                            sup_approximate, tk_approximate)
-from cone2d import norms
 from cone2d.norms import Region, WeightFunction, fatten, phi_norm
-from cone2d.poly import Polynomial
+from cone2d.poly import Polynomial, design_matrix
+from cone2d.spectrum import monomials_upto
 
 
 def X(n, i):
@@ -281,6 +282,100 @@ class TestStrictnessWitness:
         assert "feasibility" in cert.message
         assert cert.verify()
         json.dumps(cert.to_json_dict(), allow_nan=False)
+
+
+def _monomial_lstsq_sup(f, region, d, eps, degree):
+    """Sampled sup residual of the column-scaled monomial SVD least-squares
+    fit that sup_approximate ran before its Chebyshev basis."""
+    samples = region.sample_points
+    fvals = f.evaluate_grid(samples)
+    monos = monomials_upto(f.n, degree)
+    a = design_matrix(samples, monos)
+    scale = np.max(np.abs(a), axis=0)
+    coeffs = np.linalg.lstsq(a / scale, (fvals + eps / 2) ** (1 / (2 * d)), rcond=None)[0]
+    b = Polynomial(f.n, dict(zip(monos, coeffs / scale)))
+    return float(np.max(np.abs(fvals - b.evaluate_grid(samples) ** (2 * d))))
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The number of np.linalg.lstsq calls so far, in a one-item list."""
+    calls = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lstsq(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+class TestChebyshevFit:
+    @pytest.mark.parametrize("box", [[(0.0, 1.0)], [(-1.0, 1.0)],
+                                     [(-0.5, 1.5), (0.0, 1.0)],
+                                     [(-2.0, 3.0), (0.0, 0.25), (1.0, 4.0)]])
+    def test_monomial_conversion_matches_chebyshev_sum(self, box):
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(lo, hi, 300) for lo, hi in box])
+        for degree in (0, 1, 5, 12, 20):
+            monos = monomials_upto(len(box), degree)
+            coeffs = rng.uniform(-1, 1, len(monos))
+            terms = design_matrix(pts, monos) * approx._to_monomials(coeffs, monos, box)
+            gap = np.abs(terms.sum(axis=1) - design_matrix(pts, monos, box) @ coeffs)
+            assert np.all(gap <= 1e-13 * np.abs(terms).sum(axis=1)), degree
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (-2.0, 3.0)])
+    def test_power_rows_match_numpy(self, lo, hi):
+        rows = approx._chebyshev_powers(20, lo, hi)
+        for e in range(21):
+            ref = np.polynomial.Chebyshev.basis(e, domain=[lo, hi]).convert(
+                kind=np.polynomial.Polynomial).coef
+            np.testing.assert_allclose(rows[e, :e + 1], ref, rtol=1e-12, atol=0)
+            assert not rows[e, e + 1:].any()
+
+    def test_sup_residual_no_worse_than_monomial_lstsq(self):
+        """A seeded sweep of boxes and degrees 0-20: the sampled sup residual
+        is at most the old fit's times (1 + 1e-9), plus 1e-12.  The bound is
+        one-sided: on [0, 1] at high degree the monomial fit is the less
+        accurate one."""
+        rng = np.random.default_rng(12)
+        eps = 1e-6
+        for box, res in (([(-1, 1)], 1e-3), ([(-0.5, 1.5)], 1e-3), ([(0, 1)], 1e-3),
+                         ([(-1, 1)] * 2, 0.04), ([(0, 1)] * 2, 0.02)):
+            region = Region.from_box(box, resolution=res)
+            n = len(box)
+            q = Polynomial(n, {e: float(rng.uniform(-1, 1)) for e in monomials_upto(n, 3)})
+            q = q * (0.5 / np.max(np.abs(q.evaluate_grid(region.sample_points))))
+            f = (q + 1) ** 2 + 0.05 * X(n, 0) ** 7  # not a square
+            for degree in range(21):
+                new = sup_approximate(f, region, 1, eps, degree).residuals["sup"]
+                old = _monomial_lstsq_sup(f, region, 1, eps, degree)
+                assert new <= old * (1 + 1e-9) + 1e-12, (box, degree, new, old)
+
+    @pytest.mark.parametrize("region", [
+        Region.from_box([(0, 1), (0.5, 0.5)]),
+        Region.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.3)]),
+    ], ids=["flat-box-side", "fewer-points-than-monomials"])
+    def test_singular_gram_falls_back_to_lstsq(self, region, lstsq_calls):
+        f = X(2, 0) ** 2 + X(2, 1) ** 2 + 0.1
+        cert = sup_approximate(f, region, d=1, eps=0.1, max_fit_degree=6)
+        assert lstsq_calls[0] == 1
+        assert cert.success and cert.verify()
+        assert "rank-deficient" in cert.message
+        cert = strictness_witness([region.sample_points[0]], region, eps=0.1,
+                                  fit_degree=6)
+        assert lstsq_calls[0] == 3
+        assert cert.success and cert.verify()
+
+    def test_ill_conditioned_gram_falls_back_to_lstsq(self, lstsq_calls):
+        """Three points, two of them 1e-5 apart: Cholesky succeeds, but its
+        diagonal marks the Gram matrix numerically singular, and the SVD fit
+        interpolates, so the residual is the eps/2 shift to rounding."""
+        region = Region.from_points([(0.0,), (1e-5,), (1.0,)])
+        cert = sup_approximate(3 * X(1, 0) + 1, region, d=1, eps=1e-3, max_fit_degree=2)
+        assert lstsq_calls[0] == 1
+        assert abs(cert.residuals["sup"] - 5e-4) < 1e-13
+        assert cert.verify()
 
 
 class TestPsdOnFattening:

@@ -135,6 +135,8 @@ class TestLoaders:
     ["norms", "phi", "--poly", "{poly}", "--phi", "{table_bool_val}"],
     ["norms", "phi", "--poly", "{poly}", "--phi", "{table_duplicate}"],
     ["spectrum", "kphi-box", "--phi", "{geometric_string}", "--degree", "3"],
+    ["spectrum", "hausdorff", "--points", "{pts_bool_string}", "--degree", "1"],
+    ["compare", "--region", "{region_bool_string}"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -152,7 +154,8 @@ class TestLoaders:
         "moments-float-exponent", "lasserre-float-n", "table-float-exponent",
         "table-negative-value", "poly-is-directory", "witness-negative-degree",
         "sup-negative-max-degree", "moments-bool-value", "moments-string-value",
-        "table-bool-value", "table-duplicate-exponent", "geometric-string-radius"])
+        "table-bool-value", "table-duplicate-exponent", "geometric-string-radius",
+        "points-bool-and-string", "region-bool-and-string"])
 def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
     paths = {
         "directory": str(tmp_path),
@@ -213,6 +216,9 @@ def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
             {"exp": [0], "val": 1.0}, {"exp": [2], "val": 1.0},
             {"exp": [2], "val": 2.0}]}),
         "geometric_string": files("wg.json", {"kind": "geometric", "radii": ["0.5"]}),
+        "pts_bool_string": files("pb.json", {"points": [[True], ["0.5"]]}),
+        "region_bool_string": files("rb.json", {"box": [[False, "1"]],
+                                                "resolution": "0.25"}),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

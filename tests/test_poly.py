@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -220,6 +221,26 @@ class TestDesignMatrix:
         assert a.shape == (3, 5)
         for j, (x, y) in enumerate(pts):
             assert list(a[j]) == [x**s * y**t for s, t in exps]
+
+    @pytest.mark.parametrize("box", [[(-1.0, 1.0)], [(0.0, 1.0), (-0.5, 1.5)],
+                                     [(-2.0, 3.0), (0.0, 0.25), (1.0, 4.0)]])
+    def test_chebyshev_columns_match_chebvander(self, box):
+        rng = np.random.default_rng(7)
+        pts = np.column_stack([rng.uniform(lo, hi, 200) for lo, hi in box])
+        exps = [e for e in itertools.product(range(21), repeat=len(box)) if sum(e) <= 20]
+        ts = [(2 * x - lo - hi) / (hi - lo) for x, (lo, hi) in zip(pts.T, box)]
+        tables = [np.polynomial.chebyshev.chebvander(t, 20) for t in ts]
+        ref = np.column_stack([math.prod(v[:, e] for v, e in zip(tables, exp))
+                               for exp in exps])
+        np.testing.assert_allclose(design_matrix(pts, exps, box), ref, rtol=1e-13, atol=0)
+
+    def test_flat_box_side_keeps_powers(self):
+        pts = [(0.25, 0.5), (0.75, 0.5), (1.0, 0.5)]
+        exps = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 3)]
+        a = design_matrix(pts, exps, [(0.0, 1.0), (0.5, 0.5)])
+        cheb = np.polynomial.chebyshev.chebvander(2 * np.array([0.25, 0.75, 1.0]) - 1, 2)
+        for j, (_, y) in enumerate(pts):
+            assert list(a[j]) == [cheb[j, s] * y**t for s, t in exps]
 
     @settings(max_examples=60, deadline=None)
     @given(polys_and_points())
