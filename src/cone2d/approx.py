@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from .norms import Region, WeightFunction, _dilations, phi_norm, sup_norm
@@ -23,11 +22,15 @@ from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
 NODE_TIE_TOL = 1e-12
-# A Chebyshev fit's Gram matrix counts as numerically singular, and the fit
-# falls back to SVD least squares in monomials, when its Cholesky factor's
-# least diagonal entry is at most this times its largest: then cond(Gram)
-# >= 1e8, and the normal equations would lose half the float digits.
-GRAM_RCOND = 1e-4
+# A Chebyshev fit is kept when the singular values of its Gram matrix give
+# cond(Gram) <= GRAM_COND (past it the normal equations lose more than half
+# the float digits) and when the rounding scale of its monomial form,
+# u * sum |c_k| * corner**k with corner the box's largest |x| per side, is
+# at most MONOMIAL_ROUNDING * eps (a box far from the origin can fail this).
+# Otherwise the fit falls back to SVD least squares on column-scaled
+# monomials.
+GRAM_COND = 1e8
+MONOMIAL_ROUNDING = 1e-6
 # Candidate c of module_interpolate's separating form x1 + c*x2 + ...
 _SEPARATING_COEFFS = (Dyadic(3, 3), Dyadic(5, 4), Dyadic(11, 4), Dyadic(13, 5))
 
@@ -163,17 +166,11 @@ def _power_gap(fvals, b: Polynomial, d: int, samples) -> dict:
     return {"sup": float(gap[i]), "argmax": tuple(samples[i])}
 
 
-def _cholesky_solve(gram, rhs):
-    """x with gram @ x = rhs by Cholesky, or None when cho_factor fails or
-    the factor's diagonal marks gram numerically singular (GRAM_RCOND)."""
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError:
-        return None
-    diag = np.abs(np.diag(factor[0]))
-    if diag.min() <= GRAM_RCOND * diag.max():
-        return None
-    return cho_solve(factor, rhs)
+def _gram_solve(gram, rhs):
+    """x with gram @ x = rhs by SVD least squares, or None when the singular
+    values give cond(gram) > GRAM_COND."""
+    x, _, _, sigma = np.linalg.lstsq(gram, rhs, rcond=None)
+    return x if sigma[-1] * GRAM_COND >= sigma[0] else None
 
 
 def _chebyshev_powers(top: int, lo: float, hi: float) -> np.ndarray:
@@ -205,13 +202,22 @@ def _to_monomials(coeffs, monos, box) -> np.ndarray:
     return tensor[idx]
 
 
-def _chebyshev_fit(samples, monos, box, target):
+def _monomial_form(coeffs, monos, box, eps):
+    """Monomial coefficients of the Chebyshev-basis coeffs (_to_monomials),
+    or None when their rounding on the box exceeds MONOMIAL_ROUNDING * eps."""
+    coeffs = _to_monomials(coeffs, monos, box)
+    corner = [max(abs(lo), abs(hi)) for lo, hi in box]
+    size = np.abs(coeffs) @ design_matrix([corner], monos)[0]
+    return coeffs if np.finfo(float).eps * size <= MONOMIAL_ROUNDING * eps else None
+
+
+def _chebyshev_fit(samples, monos, box, target, eps):
     """Monomial coefficients of the least-squares fit of target on the
-    samples, solved by Cholesky on the normal equations in the box's
-    Chebyshev basis; None when its Gram matrix is numerically singular."""
+    samples, solved on the normal equations in the box's Chebyshev basis;
+    None when the Gram matrix or the monomial form fails its check."""
     a = design_matrix(samples, monos, box)
-    coeffs = _cholesky_solve(a.T @ a, a.T @ target)
-    return None if coeffs is None else _to_monomials(coeffs, monos, box)
+    coeffs = _gram_solve(a.T @ a, a.T @ target)
+    return None if coeffs is None else _monomial_form(coeffs, monos, box, eps)
 
 
 def _binomial_coeffs(r: float, d: int, n_terms: int, sign: int) -> list:
@@ -351,10 +357,11 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     """Approximate f in the sampled sup-norm by b**(2d).
 
     The continuous target (f + eps/2)**(1/2d) is fitted by discrete
-    least squares over the region's sample grid: Cholesky on the normal
-    equations in the total-degree Chebyshev basis of the region's box, and
-    b converted to monomials once; where that Gram matrix is numerically
-    singular (GRAM_RCOND), SVD least squares on column-scaled monomials,
+    least squares over the region's sample grid: SVD least squares on the
+    normal equations in the total-degree Chebyshev basis of the region's
+    box, and b converted to monomials once.  Where that Gram matrix is ill
+    conditioned (GRAM_COND) or b's monomial form rounds visibly on the box
+    (MONOMIAL_ROUNDING), SVD least squares on column-scaled monomials,
     whose rank deficiency the message reports.  Success means
     ||f - b**(2d)|| < eps on the samples.  On failure the certificate
     carries the best residual and the degree used.
@@ -377,7 +384,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
     message = ""
-    coeffs = _chebyshev_fit(samples, monos, region.box, target)
+    coeffs = _chebyshev_fit(samples, monos, region.box, target, eps)
     if coeffs is None:
         a = design_matrix(samples, monos)
         scale = np.max(np.abs(a), axis=0)
@@ -475,12 +482,13 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
                     lambda res: max(res["per_point"]) < 1e-9)
 
 
-def _constrained_fit(anchors, rhs, samples, bump, monos, box):
+def _constrained_fit(anchors, rhs, samples, bump, monos, box, eps):
     """(monomial coefficients x, feasibility |C x0 - rhs|) of the least-
     squares fit of bump on the samples subject to C x = rhs at the anchors,
     in the box's Chebyshev basis, by the null-space method x = x0 + Z y:
     one SVD of C gives x0 and Z, and y solves the normal equations by
-    Cholesky.  None when Z^T A^T A Z is numerically singular."""
+    _gram_solve.  None when Z^T A^T A Z or the monomial form of x fails
+    its check (GRAM_COND, MONOMIAL_ROUNDING)."""
     constraints = design_matrix(anchors, monos, box)
     u, sigma, vt = np.linalg.svd(constraints)
     rank = int(np.sum(sigma > 1e-12 * sigma[0]))
@@ -491,16 +499,17 @@ def _constrained_fit(anchors, rhs, samples, bump, monos, box):
     if z.shape[1] > 0:
         a = design_matrix(samples, monos, box)
         gram = a.T @ a
-        y = _cholesky_solve(z.T @ gram @ z, z.T @ (a.T @ bump - gram @ x0))
+        y = _gram_solve(z.T @ gram @ z, z.T @ (a.T @ bump - gram @ x0))
         if y is None:
             return None
         x = x0 + z @ y
-    return _to_monomials(x, monos, box), feas
+    x = _monomial_form(x, monos, box, eps)
+    return None if x is None else (x, feas)
 
 
 def _constrained_lstsq(anchors, rhs, samples, bump, monos):
-    """_constrained_fit in monomials by SVD least squares, for fits whose
-    Gram matrix is numerically singular."""
+    """_constrained_fit in monomials by SVD least squares, for fits that
+    fail its checks."""
     constraints = design_matrix(anchors, monos)
     x0, _, _, _ = np.linalg.lstsq(constraints, rhs, rcond=None)
     feas = np.linalg.norm(constraints @ x0 - rhs)
@@ -547,7 +556,7 @@ def strictness_witness(points, region: Region, eps: float,
     rhs[-1] = 1.0
     bump = np.clip(dist / dist[ib], 0.0, 1.0) ** 2
     anchors = np.vstack([pts, beta])
-    x, feas = (_constrained_fit(anchors, rhs, samples, bump, monos, region.box)
+    x, feas = (_constrained_fit(anchors, rhs, samples, bump, monos, region.box, eps)
                or _constrained_lstsq(anchors, rhs, samples, bump, monos))
     a_poly = Polynomial(region.n, {exp: float(ci) for exp, ci in zip(monos, x)})
 

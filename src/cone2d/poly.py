@@ -147,7 +147,10 @@ def design_matrix(points, exps, box=None) -> np.ndarray:
     negative bases.  Rows of the first table are gathered once and the
     others multiplied into them in place, so no second (len(exps), N)
     temporary exists.  The result is the transpose of a C-ordered
-    (len(exps), N) array.
+    (len(exps), N) array.  The sup and witness fits of ``approx`` solve
+    the normal equations of the box design by SVD, and fall back to the
+    column-scaled monomial design where those are ill conditioned or the
+    fit's monomial form would round visibly on the box.
     """
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), points.shape[1])

@@ -299,13 +299,13 @@ def _monomial_lstsq_sup(f, region, d, eps, degree):
 
 @pytest.fixture
 def lstsq_calls(monkeypatch):
-    """The number of np.linalg.lstsq calls so far, in a one-item list."""
-    calls = [0]
+    """The shapes of the matrices passed to np.linalg.lstsq so far."""
+    calls = []
     lstsq = np.linalg.lstsq
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return lstsq(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lstsq(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     return calls
 
@@ -337,45 +337,72 @@ class TestChebyshevFit:
         """A seeded sweep of boxes and degrees 0-20: the sampled sup residual
         is at most the old fit's times (1 + 1e-9), plus 1e-12.  The bound is
         one-sided: on [0, 1] at high degree the monomial fit is the less
-        accurate one."""
+        accurate one.  On the boxes away from the origin the monomial form
+        of a high-degree Chebyshev fit rounds visibly, and the fit falls
+        back to the monomial one."""
         rng = np.random.default_rng(12)
         eps = 1e-6
         for box, res in (([(-1, 1)], 1e-3), ([(-0.5, 1.5)], 1e-3), ([(0, 1)], 1e-3),
-                         ([(-1, 1)] * 2, 0.04), ([(0, 1)] * 2, 0.02)):
+                         ([(-1, 1)] * 2, 0.04), ([(0, 1)] * 2, 0.02), ([(1, 4)], 3e-3),
+                         ([(10, 11)], 1e-3), ([(1, 4), (2, 5)], 0.06)):
             region = Region.from_box(box, resolution=res)
             n = len(box)
             q = Polynomial(n, {e: float(rng.uniform(-1, 1)) for e in monomials_upto(n, 3)})
             q = q * (0.5 / np.max(np.abs(q.evaluate_grid(region.sample_points))))
-            f = (q + 1) ** 2 + 0.05 * X(n, 0) ** 7  # not a square
+            t = X(n, 0) * (1 / max(map(abs, box[0])))
+            f = (q + 1) ** 2 + 0.05 * t ** 7  # not a square
             for degree in range(21):
                 new = sup_approximate(f, region, 1, eps, degree).residuals["sup"]
                 old = _monomial_lstsq_sup(f, region, 1, eps, degree)
                 assert new <= old * (1 + 1e-9) + 1e-12, (box, degree, new, old)
+
+    def test_fit_solves_the_normal_equations(self, lstsq_calls):
+        region = Region.from_box([(-1, 1), (0, 2)], resolution=0.05)
+        f = X(2, 0) ** 2 + X(2, 1) ** 2 + 0.1
+        assert sup_approximate(f, region, d=1, eps=0.1, max_fit_degree=6).success
+        assert lstsq_calls == [(28, 28)]
+        assert strictness_witness([(0.0, 1.0)], region, eps=0.1, fit_degree=6).success
+        assert lstsq_calls == [(28, 28), (26, 26)]
 
     @pytest.mark.parametrize("region", [
         Region.from_box([(0, 1), (0.5, 0.5)]),
         Region.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.3)]),
     ], ids=["flat-box-side", "fewer-points-than-monomials"])
     def test_singular_gram_falls_back_to_lstsq(self, region, lstsq_calls):
+        """The Gram solve is refused, and the monomial fit reports its rank."""
         f = X(2, 0) ** 2 + X(2, 1) ** 2 + 0.1
+        m = len(region.sample_points)
         cert = sup_approximate(f, region, d=1, eps=0.1, max_fit_degree=6)
-        assert lstsq_calls[0] == 1
+        assert lstsq_calls == [(28, 28), (m, 28)]
         assert cert.success and cert.verify()
         assert "rank-deficient" in cert.message
         cert = strictness_witness([region.sample_points[0]], region, eps=0.1,
                                   fit_degree=6)
-        assert lstsq_calls[0] == 3
+        assert lstsq_calls[2:] == [(26, 26), (2, 28), (m, 26)]
         assert cert.success and cert.verify()
 
     def test_ill_conditioned_gram_falls_back_to_lstsq(self, lstsq_calls):
-        """Three points, two of them 1e-5 apart: Cholesky succeeds, but its
-        diagonal marks the Gram matrix numerically singular, and the SVD fit
-        interpolates, so the residual is the eps/2 shift to rounding."""
+        """Three points, two of them 1e-5 apart: cond(Gram) exceeds GRAM_COND,
+        and the monomial SVD fit interpolates, so the residual is the eps/2
+        shift to rounding."""
         region = Region.from_points([(0.0,), (1e-5,), (1.0,)])
         cert = sup_approximate(3 * X(1, 0) + 1, region, d=1, eps=1e-3, max_fit_degree=2)
-        assert lstsq_calls[0] == 1
+        assert lstsq_calls == [(3, 3), (3, 3)]
         assert abs(cert.residuals["sup"] - 5e-4) < 1e-13
         assert cert.verify()
+
+    def test_rounding_monomial_form_falls_back_to_lstsq(self, lstsq_calls):
+        """On [10, 11] at degree 12 the monomial form of the Chebyshev fit
+        would round far above eps, so both fits are the monomial ones."""
+        region = Region.from_box([(10, 11)], resolution=1e-3)
+        f = (X(1, 0) - 10) ** 2 + 0.5
+        cert = sup_approximate(f, region, d=1, eps=1e-3, max_fit_degree=12)
+        assert lstsq_calls == [(13, 13), (1001, 13)]
+        assert cert.residuals["sup"] == _monomial_lstsq_sup(f, region, 1, 1e-3, 12)
+        assert cert.success and cert.verify()
+        cert = strictness_witness([(10.25,), (10.5,)], region, eps=0.05, fit_degree=15)
+        assert lstsq_calls[3:] == [(13, 13), (3, 16), (1001, 13)]
+        assert cert.success and cert.verify()
 
 
 class TestPsdOnFattening:
