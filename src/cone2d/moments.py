@@ -6,6 +6,7 @@ nonnegative least squares on a region's sample grid.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -59,6 +60,8 @@ class MomentFunctional:
     moments: dict = field(compare=False)  # exponent tuple -> L(X^s)
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
         needed = monomials_upto(self.n, self.degree)
         missing = [s for s in needed if s not in self.moments]
         if missing:
@@ -121,6 +124,12 @@ class PsdVerdict(NamedTuple):
     witness: Polynomial | None
 
 
+def _moment_matrix(functional: MomentFunctional, monos: list) -> np.ndarray:
+    """M[s, t] = L(X^(s+t)) over the given monomials."""
+    return np.array([[functional.moments[tuple(map(operator.add, s, t))] for t in monos]
+                     for s in monos], dtype=float)
+
+
 def hankel_psd_check(functional: MomentFunctional, tol: float = 1e-10) -> PsdVerdict:
     """Eigenvalue test of the moment matrix M[s, t] = L(X^(s+t)) over
     |s|, |t| <= floor(D/2)."""
@@ -128,8 +137,7 @@ def hankel_psd_check(functional: MomentFunctional, tol: float = 1e-10) -> PsdVer
         raise ValueError("hankel check needs degree >= 2")
     half = functional.degree // 2
     monos = monomials_upto(functional.n, half)
-    mat = np.array([[functional.moments[tuple(map(operator.add, s, t))] for t in monos]
-                    for s in monos], dtype=float)
+    mat = _moment_matrix(functional, monos)
     eigvals, eigvecs = np.linalg.eigh(mat)
     min_eig = float(eigvals[0])
     threshold = -tol * (1 + float(np.max(np.abs(mat))))
@@ -151,10 +159,34 @@ class PowerVerdict(NamedTuple):
     trials: int
 
 
+def _power_rows(rows: np.ndarray, n: int, degree: int, d: int) -> np.ndarray:
+    """Coefficient rows of p**d over monomials_upto(n, d * degree), for each
+    row p of coefficients over monomials_upto(n, degree)."""
+    out = rows
+    for k in range(2, d + 1):
+        column = {e: i for i, e in enumerate(monomials_upto(n, k * degree))}
+        prev, new = monomials_upto(n, (k - 1) * degree), np.zeros((len(rows), len(column)))
+        for j, t in enumerate(monomials_upto(n, degree)):  # s -> s + t is one to one
+            cols = [column[tuple(map(operator.add, s, t))] for s in prev]
+            new[:, cols] += out * rows[:, j, None]
+        out = new
+    return out
+
+
 def power_psd_check(functional: MomentFunctional, d: int, trials: int = 50,
                     seed: int = 0, tol: float = 1e-9) -> PowerVerdict:
     """Sample h of admissible degree (seeded random plus a small dyadic
-    net at low degree) and test L(h**(2d)) >= -tol."""
+    net at low degree) and test L(h**(2d)) >= -tol.
+
+    Every candidate is screened at once: with g = h**d and M[s, t] =
+    L(X^(s+t)) over the monomials of degree <= d * deg h, L(h**(2d)) is
+    g^T M g, one einsum over the stacked rows of g.  Walking the candidates
+    in order, each one screened below -tol + delta, delta = c |g|^T |M| |g|
+    (|g| the coefficients of |h|**d), is recomputed as functional(h ** (2d))
+    and the first recomputed value below -tol is returned.  c bounds the
+    rounding of both computations, so the verdict, the trial count and the
+    value are those of recomputing every candidate.
+    """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     h_degree = functional.degree // (2 * d)
@@ -163,20 +195,34 @@ def power_psd_check(functional: MomentFunctional, d: int, trials: int = 50,
             f"degree budget exhausted: D = {functional.degree} admits no "
             f"nonconstant h with deg(h**{2 * d}) <= D"
         )
-    rng = np.random.default_rng(seed)
-    monos = monomials_upto(functional.n, 1)
-    net = itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=len(monos))
-    candidates = [{exp: c for exp, c in zip(monos, combo) if c}
-                  for combo in (net if len(monos) <= 4 else ()) if any(combo)]
-    all_monos = monomials_upto(functional.n, h_degree)
-    candidates += [dict(zip(all_monos, rng.standard_normal(len(all_monos)).tolist()))
-                   for _ in range(trials)]
-    for count, terms in enumerate(candidates, 1):
-        h = Polynomial(functional.n, terms)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    n = functional.n
+    monos = monomials_upto(n, h_degree)  # graded: the degree <= 1 monomials come first
+    net = [c for c in itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=n + 1)
+           if any(c)] if n + 1 <= 4 else []
+    rows = np.zeros((len(net) + trials, len(monos)))
+    rows[:len(net), :n + 1] = np.reshape(net, (len(net), n + 1))
+    rows[len(net):] = np.random.default_rng(seed).standard_normal((trials, len(monos)))
+    g, g_abs = _power_rows(rows, n, h_degree, d), _power_rows(abs(rows), n, h_degree, d)
+    m = _moment_matrix(functional, monomials_upto(n, d * h_degree))
+    values = np.einsum("is,st,it->i", g, m, g)
+    # Each screened value and each recomputed one rounds within gamma_K
+    # |g|^T |M| |g| (Higham, ch. 3), K = L**2 + (4d + 1) L + 1 with L = C(n + D, n)
+    # the largest term count: the einsum sums at most L**2 triple products of
+    # g, formed in d - 1 products of at most L-term sums, while h ** (2d)
+    # takes at most 2 (d + 1) such products and functional() one more L-term
+    # sum.  c = gamma_2K' with K' = (L + 1)(L + 4d + 4) >= K also covers the
+    # rounding of delta itself and of delta - tol.
+    big = math.comb(n + functional.degree, n)
+    k = (big + 1) * (big + 4 * d + 4) * np.finfo(float).eps  # 2K' u, u = eps / 2
+    delta = k / (1 - k) * np.einsum("is,st,it->i", g_abs, abs(m), g_abs)
+    for i in np.flatnonzero(~(values >= delta - tol)):  # NaN is recomputed too
+        h = Polynomial(n, dict(zip(monos, rows[i].tolist())))
         val = functional(h ** (2 * d))
         if val < -tol:
-            return PowerVerdict(False, h, val, count)
-    return PowerVerdict(True, None, None, len(candidates))
+            return PowerVerdict(False, h, val, int(i) + 1)
+    return PowerVerdict(True, None, None, len(rows))
 
 
 class ContinuityReport(NamedTuple):
@@ -212,12 +258,13 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
          max_iter: int | None = None) -> NNLSResult:
     """Lawson-Hanson active-set solution of min ||Ax - b|| s.t. x >= 0.
 
-    The passive columns' least squares runs on a QR factorization updated
-    as columns enter and leave, one triangular solve per inner step.  A
-    column whose new |R[k, k]| is <= eps * m * ||a_j|| depends numerically
-    on the passive ones and is not admitted for that outer pass.  On
-    convergence the KKT conditions hold: the gradient component is >= -tol
-    on the active (zero) set and within tol on the passive set.
+    The passive set is the prefix passive[:k] of an index array, in entry
+    order; its least squares runs on a QR factorization updated as columns
+    enter and leave, one triangular solve per inner step.  A column whose new
+    |R[k, k]| is <= eps * m * ||a_j|| depends numerically on the passive ones
+    and is not admitted for that outer pass.  On convergence the KKT conditions
+    hold: the gradient is >= -tol on the active (zero) set and within tol on
+    the passive set.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, ncols = a.shape
@@ -227,46 +274,44 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
         raise ValueError("A and b must be finite")  # the updates skip this check
     max_iter = 3 * ncols if max_iter is None else max_iter
 
-    at = np.ascontiguousarray(a.T)
-    x = np.zeros(ncols)
-    passive = []  # column indices, in the order they entered Q R
+    at, x = np.ascontiguousarray(a.T), np.zeros(ncols)
+    passive, k = np.empty(min(m, ncols), dtype=np.intp), 0
     q, r = np.eye(m), np.empty((m, 0))
-    resid, iterations, converged = b, 0, False
+    eps_m, tiny = np.finfo(float).eps * m, np.finfo(float).tiny
+    resid, iterations, converged = b, 0, ncols == 0
     trace = [float(np.linalg.norm(b))]
     for _ in range(max_iter):
         w = at @ resid  # negative gradient
-        w[passive] = -np.inf
-        while len(passive) < min(m, ncols) and w[j := int(np.argmax(w))] > tol:
-            k = len(passive)
+        w[passive[:k]] = -np.inf
+        while k < len(passive) and w[j := int(w.argmax())] > tol:
             q, r = qr_insert(q, r, at[j], k, "col", overwrite_qru=True, check_finite=False)
-            if abs(r[k, k]) > np.finfo(float).eps * m * np.linalg.norm(at[j]):
+            if abs(r[k, k]) > eps_m * math.sqrt(at[j].dot(at[j])):  # = norm(at[j])
                 break
             r, w[j] = r[:, :k], -np.inf  # Q still factors the first k
         else:
             converged = True
             break
-        passive.append(j)
+        passive[k], k = j, k + 1
         while True:
             iterations += 1
-            k = len(passive)
-            z = lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0] if k else np.zeros(0)
-            xp = x[passive]
-            if np.all(z > 0):
-                x[passive] = z
+            if not k:  # rounding at tol 0 can drop every column in the line search
                 break
-            # Line search to feasibility (0/0 steps 0); the blocking column lands on 0.
-            neg = np.flatnonzero(z <= 0)
-            steps = xp[neg] / np.maximum(xp[neg] - z[neg], np.finfo(float).tiny)
-            xp += np.min(steps) * (z - xp)
-            xp[neg[np.argmin(steps)]] = 0.0
-            x[passive] = xp
-            for i in np.flatnonzero(xp <= tol)[::-1]:
+            z = lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0]
+            if z.min() > 0:
+                x[passive[:k]] = z
+                break
+            xp, neg = x[passive[:k]], (z <= 0).nonzero()[0]
+            steps = xp[neg] / np.maximum(xp[neg] - z[neg], tiny)  # to feasibility; 0/0 is 0
+            xp += steps.min() * (z - xp)
+            xp[neg[steps.argmin()]] = 0.0  # the blocking column
+            x[passive[:k]] = xp
+            for i in (xp <= tol).nonzero()[0][::-1]:
                 q, r = qr_delete(q, r, i, which="col", overwrite_qr=True, check_finite=False)
-                x[passive.pop(i)] = 0.0
-        resid = b - x[passive] @ at[passive]
-        trace.append(float(np.linalg.norm(resid)))
-    return NNLSResult(x, float(np.linalg.norm(resid)), converged, iterations,
-                      tuple(trace))
+                x[passive[i]] = 0.0
+                passive[i:k - 1], k = passive[i + 1:k], k - 1
+        resid = b - x[passive[:k]] @ at[passive[:k]]
+        trace.append(math.sqrt(resid.dot(resid)))  # = norm(resid)
+    return NNLSResult(x, trace[-1], converged, iterations, tuple(trace))
 
 
 @dataclass
@@ -280,6 +325,15 @@ class RecoveryResult:
     support_size: int
     converged: bool
     success: bool
+    tol: float = 1e-6  # success means residual <= tol
+
+    def verify(self, functional: MomentFunctional) -> bool:
+        """True when ``success`` states whether the measure's own moments,
+        recomputed by ``from_measure`` apart from NNLS, match L within tol."""
+        monos = monomials_upto(functional.n, functional.degree)
+        got = from_measure(self.measure, functional.degree).moments if self.measure.atoms else {}
+        gap = np.array([got.get(e, 0.0) - functional.moments[e] for e in monos])
+        return self.success == bool(np.linalg.norm(gap) <= self.tol)
 
 
 def measure_recover(functional: MomentFunctional, region: Region,
@@ -303,9 +357,9 @@ def measure_recover(functional: MomentFunctional, region: Region,
     b = np.array([functional.moments[exp] for exp in monos])
     # Row 0 of a is all ones, so ||x||_1 = L(1) = b[0] for x >= 0: a gradient
     # below tol**2 / (16 L(1)) leaves a residual below tol where an x* >= 0 fits.
-    result = nnls(a, b, tol=min(1e-12, tol**2 / (16 * b[0])) if b[0] > 0 else 1e-12)
+    result = nnls(a, b, tol=min(1e-12, tol**2 / 16 / b[0]) if b[0] > 0 else 1e-12)
     keep = result.x > 0
     measure = AtomicMeasure.of(atoms[keep], result.x[keep])
     return RecoveryResult(measure, result.residual_norm,
                           measure.support_size(), result.converged,
-                          result.residual_norm <= tol)
+                          result.residual_norm <= tol, tol)

@@ -137,6 +137,7 @@ class TestLoaders:
     ["spectrum", "kphi-box", "--phi", "{geometric_string}", "--degree", "3"],
     ["spectrum", "hausdorff", "--points", "{pts_bool_string}", "--degree", "1"],
     ["compare", "--region", "{region_bool_string}"],
+    ["moments", "recover", "--moments", "{moments_negative_D}", "--region", "{region}"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -155,7 +156,7 @@ class TestLoaders:
         "table-negative-value", "poly-is-directory", "witness-negative-degree",
         "sup-negative-max-degree", "moments-bool-value", "moments-string-value",
         "table-bool-value", "table-duplicate-exponent", "geometric-string-radius",
-        "points-bool-and-string", "region-bool-and-string"])
+        "points-bool-and-string", "region-bool-and-string", "recover-negative-D"])
 def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
     paths = {
         "directory": str(tmp_path),
@@ -219,6 +220,7 @@ def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
         "pts_bool_string": files("pb.json", {"points": [[True], ["0.5"]]}),
         "region_bool_string": files("rb.json", {"box": [[False, "1"]],
                                                 "resolution": "0.25"}),
+        "moments_negative_D": files("mneg.json", dict(INDEFINITE, D=-1)),
     }
     code, rep = run(capsys, [a.format(**paths) for a in argv])
     assert code == 2

@@ -1,16 +1,20 @@
+import dataclasses
+import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack, qr_delete, qr_insert
 from scipy.optimize import nnls as scipy_nnls
 
-from cone2d.moments import (AtomicMeasure, MomentFunctional, from_measure,
-                            hankel_psd_check, measure_recover, nnls,
-                            phi_continuity, power_psd_check,
-                            uniform_box_moments)
+from cone2d.moments import (AtomicMeasure, MomentFunctional, NNLSResult,
+                            PowerVerdict, from_measure, hankel_psd_check,
+                            measure_recover, nnls, phi_continuity,
+                            power_psd_check, uniform_box_moments)
 from cone2d.norms import Region, WeightFunction
 from cone2d.poly import Polynomial, design_matrix
 from cone2d.spectrum import monomials_upto
@@ -18,6 +22,95 @@ from cone2d.spectrum import monomials_upto
 
 def X(n, i):
     return Polynomial.variable(n, i)
+
+
+def _reference_nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
+                    max_iter: int | None = None) -> NNLSResult:
+    """``nnls`` with the passive set as a Python list, kept verbatim: the
+    index-array loop must reproduce its bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m, ncols = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")  # the updates skip this check
+    max_iter = 3 * ncols if max_iter is None else max_iter
+
+    at = np.ascontiguousarray(a.T)
+    x = np.zeros(ncols)
+    passive = []  # column indices, in the order they entered Q R
+    q, r = np.eye(m), np.empty((m, 0))
+    resid, iterations, converged = b, 0, False
+    trace = [float(np.linalg.norm(b))]
+    for _ in range(max_iter):
+        w = at @ resid  # negative gradient
+        w[passive] = -np.inf
+        while len(passive) < min(m, ncols) and w[j := int(np.argmax(w))] > tol:
+            k = len(passive)
+            q, r = qr_insert(q, r, at[j], k, "col", overwrite_qru=True, check_finite=False)
+            if abs(r[k, k]) > np.finfo(float).eps * m * np.linalg.norm(at[j]):
+                break
+            r, w[j] = r[:, :k], -np.inf  # Q still factors the first k
+        else:
+            converged = True
+            break
+        passive.append(j)
+        while True:
+            iterations += 1
+            k = len(passive)
+            z = lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0] if k else np.zeros(0)
+            xp = x[passive]
+            if np.all(z > 0):
+                x[passive] = z
+                break
+            # Line search to feasibility (0/0 steps 0); the blocking column lands on 0.
+            neg = np.flatnonzero(z <= 0)
+            steps = xp[neg] / np.maximum(xp[neg] - z[neg], np.finfo(float).tiny)
+            xp += np.min(steps) * (z - xp)
+            xp[neg[np.argmin(steps)]] = 0.0
+            x[passive] = xp
+            for i in np.flatnonzero(xp <= tol)[::-1]:
+                q, r = qr_delete(q, r, i, which="col", overwrite_qr=True, check_finite=False)
+                x[passive.pop(i)] = 0.0
+        resid = b - x[passive] @ at[passive]
+        trace.append(float(np.linalg.norm(resid)))
+    return NNLSResult(x, float(np.linalg.norm(resid)), converged, iterations,
+                      tuple(trace))
+
+
+def assert_same_as_reference(a, b, r, **kwargs):
+    want = _reference_nnls(a, b, **kwargs)
+    assert np.array_equal(r.x, want.x)
+    assert (r.iterations, r.converged, r.objective_trace, r.residual_norm) == \
+        (want.iterations, want.converged, want.objective_trace, want.residual_norm)
+
+
+def _reference_power_check(functional: MomentFunctional, d: int, trials: int = 50,
+                           seed: int = 0, tol: float = 1e-9) -> PowerVerdict:
+    """``power_psd_check`` as one Polynomial power per candidate, kept
+    verbatim: the batched screen must reproduce its verdicts."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    h_degree = functional.degree // (2 * d)
+    if h_degree < 1:
+        raise ValueError(
+            f"degree budget exhausted: D = {functional.degree} admits no "
+            f"nonconstant h with deg(h**{2 * d}) <= D"
+        )
+    rng = np.random.default_rng(seed)
+    monos = monomials_upto(functional.n, 1)
+    net = itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=len(monos))
+    candidates = [{exp: c for exp, c in zip(monos, combo) if c}
+                  for combo in (net if len(monos) <= 4 else ()) if any(combo)]
+    all_monos = monomials_upto(functional.n, h_degree)
+    candidates += [dict(zip(all_monos, rng.standard_normal(len(all_monos)).tolist()))
+                   for _ in range(trials)]
+    for count, terms in enumerate(candidates, 1):
+        h = Polynomial(functional.n, terms)
+        val = functional(h ** (2 * d))
+        if val < -tol:
+            return PowerVerdict(False, h, val, count)
+    return PowerVerdict(True, None, None, len(candidates))
 
 
 class TestFunctionals:
@@ -51,6 +144,10 @@ class TestFunctionals:
     def test_incomplete_moments_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             MomentFunctional(1, 2, {(0,): 1.0, (1,): 0.0})
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            MomentFunctional(1, -1, {})
 
     def test_json_round_trip(self):
         L = uniform_box_moments([(-1, 1), (0, 2)], 3)
@@ -126,6 +223,67 @@ class TestPowerCheck:
         L = uniform_box_moments([(-1, 1)], 2)
         with pytest.raises(ValueError, match="budget"):
             power_psd_check(L, d=2)
+
+    def test_matches_reference(self):
+        # n 1-4, d 1-3: atomic moments, perturbed ones and signed ones.
+        rng = np.random.default_rng(14)
+        inconsistent = 0
+        for case in range(120):
+            L, d = seeded_functional(rng, case)
+            seed, trials = int(rng.integers(2**31)), int(rng.integers(0, 40))
+            want = _reference_power_check(L, d, trials, seed)
+            assert_same_verdict(power_psd_check(L, d, trials, seed), want)
+            inconsistent += not want.consistent
+        assert inconsistent >= 50
+
+    def test_matches_reference_at_the_tolerance(self):
+        # tol at the counterexample's own value, and one ulp below it: the
+        # screen must pass over the first and catch the second, whatever the
+        # rounding of its batched value.
+        rng = np.random.default_rng(15)
+        checked = 0
+        for case in range(60):
+            L, d = seeded_functional(rng, 2 * case + 1)
+            seed = int(rng.integers(2**31))
+            first = _reference_power_check(L, d, 30, seed)
+            if first.consistent:
+                continue
+            v = first.counterexample_value
+            for tol in (-v, -np.nextafter(v, np.inf)):
+                assert_same_verdict(power_psd_check(L, d, 30, seed, tol),
+                                    _reference_power_check(L, d, 30, seed, tol))
+                checked += 1
+        assert checked >= 50
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            power_psd_check(uniform_box_moments([(-1, 1)], 2), 1, trials=-1)
+
+
+def seeded_functional(rng, case):
+    """Moments of a seeded atomic measure on up to 4 variables; odd cases
+    give one atom a negative weight, every fourth case perturbs them."""
+    n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    degree = 2 * d * int(rng.integers(1, 3)) + int(rng.integers(0, 2))
+    if n >= 3:
+        degree = min(degree, 2 * d + 1)
+    k = int(rng.integers(2, 6))
+    atoms = rng.uniform(-1.5, 1.5, size=(k, n))
+    w = rng.uniform(0.1, 1.0, size=k)
+    if case % 2:
+        w[-1] = -rng.uniform(0.01, 1.0) * w[:-1].sum()
+    monos = monomials_upto(n, degree)
+    values = w @ design_matrix(atoms, monos)
+    if case % 4 == 0:
+        values = values + 1e-3 * rng.standard_normal(len(monos))
+    return MomentFunctional(n, degree, dict(zip(monos, values.tolist()))), d
+
+
+def assert_same_verdict(got, want):
+    assert (got.consistent, got.trials, got.counterexample_value) == \
+        (want.consistent, want.trials, want.counterexample_value)
+    if want.counterexample is not None:
+        assert got.counterexample.terms == want.counterexample.terms
 
 
 class TestContinuity:
@@ -214,6 +372,7 @@ class TestNnlsAgainstScipy:
         assert r.converged
         assert abs(r.residual_norm - rnorm) <= 1e-9 * (1 + np.linalg.norm(b))
         assert_kkt(a, b, r, 1e-10)
+        assert_same_as_reference(a, b, r)
 
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_moment_matrix(self, seed):
@@ -227,6 +386,7 @@ class TestNnlsAgainstScipy:
         assert r.converged
         assert abs(r.residual_norm - rnorm) <= 1e-9 * (1 + np.linalg.norm(b))
         assert_kkt(a, b, r, 1e-14)
+        assert_same_as_reference(a, b, r, tol=1e-14)
 
     @pytest.mark.filterwarnings("error")
     def test_rounding_level_tol(self):
@@ -252,6 +412,7 @@ class TestNnlsColumns:
         assert r.converged and r.iterations == 3
         assert np.count_nonzero(r.x) == 3 and np.all(r.x >= 0)
         assert r.residual_norm <= 1e-13 * np.linalg.norm(b)
+        assert_same_as_reference(a, b, r, tol=0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nearly_dependent_columns(self, seed):
@@ -267,6 +428,28 @@ class TestNnlsColumns:
         assert np.all(r.x >= 0) and np.all(np.isfinite(r.x))
         _, rnorm = scipy_nnls(a, b)
         assert abs(r.residual_norm - rnorm) <= 1e-9 * (1 + np.linalg.norm(b))
+        assert_same_as_reference(a, b, r, tol=0.0)
+
+    @pytest.mark.parametrize("column, b", [
+        ([3.0, 1.0, 3.0], [3.473684210526316, -2.8421052631578947, -2.526315789473684]),
+        ([3.0, 2.0, -2.0], [-1.1764705882352942, 1.8823529411764706, 0.11764705882352941])])
+    def test_line_search_empties_passive_set(self, column, b):
+        # b is orthogonal to the column up to rounding: its gradient enters
+        # it at tol = 0, the solve gives z <= 0, and the line search drops
+        # the only passive column.  Each outer pass repeats that.
+        a, b = np.array(column)[:, None], np.array(b)
+        r = nnls(a, b, tol=0.0)
+        assert not r.converged and r.iterations >= 3
+        assert r.objective_trace == (np.linalg.norm(b),) * 4
+        assert_same_as_reference(a, b, r, tol=0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        a, b = np.zeros(shape), np.arange(shape[0], dtype=float)
+        r = nnls(a, b)
+        assert r.converged and r.iterations == 0
+        assert np.array_equal(r.x, np.zeros(shape[1]))
+        assert r.residual_norm == np.linalg.norm(b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_full_passive_set(self, seed):
@@ -340,6 +523,27 @@ class TestRecovery:
         rec = measure_recover(indefinite_functional(), k)
         assert not rec.success
         assert rec.residual > 0.1
+
+    @pytest.mark.parametrize("functional, box, resolution", [
+        (from_measure(AtomicMeasure.of([(0.5,)], [1.0]), 6), [(-1, 1)], 0.1),
+        (uniform_box_moments([(0, 1), (0, 1)], 10), [(0, 1), (0, 1)], 0.025),
+        (indefinite_functional(), [(-1, 1)], 0.02),
+        # L(1) < 0: NNLS keeps x = 0, so the measure has no atoms
+        (MomentFunctional(1, 2, {(0,): -1.0, (1,): 0.0, (2,): 0.0}), [(-1, 1)], 0.1),
+    ], ids=["dirac", "uniform-square", "indefinite", "empty-measure"])
+    def test_verify(self, functional, box, resolution):
+        rec = measure_recover(functional, Region.from_box(box, resolution=resolution))
+        assert rec.verify(functional)
+        assert not dataclasses.replace(rec, success=not rec.success).verify(functional)
+
+    def test_huge_total_mass_tolerance(self):
+        # tol**2 / (16 L(1)) overflowed 16 L(1) at L(1) = 1e308
+        L = MomentFunctional(1, 2, {(0,): 1e308, (1,): 0.0, (2,): 0.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = measure_recover(L, Region.from_box([(-1, 1)], resolution=0.5))
+        assert not [w for w in caught if "scalar multiply" in str(w.message)]
+        assert rec.verify(L)
 
 
 @settings(max_examples=30, deadline=None)
