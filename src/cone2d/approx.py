@@ -11,6 +11,7 @@ constructors fill them from it and ``verify`` re-runs it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,6 +288,56 @@ def _interp_coeffs(nodes, values) -> np.ndarray:
     return poly[::-1]
 
 
+def _check_d_eps(d: int, eps: float):
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+
+
+def _horner_exact(lams, b: Polynomial) -> Polynomial:
+    """sum_i lams[i] * b**i for dyadic lams and an all-dyadic b, by Horner
+    on one Python int (Kronecker substitution).
+
+    With b = beta / 2**B on b's common scale and K the largest scale of the
+    lams, the integer polynomial 2**(K + (k-1)B) * c is Horner's
+    acc = acc * beta + l_j, with l_j = lams[j] * 2**(K + (k-1-j)B).
+    Exponent e is digit sum_i e_i * S**(n-1-i) of base 2**W, S = deg c + 1,
+    so each step is one big-int * int product per term of b.  W is the
+    bit length of the same Horner on |l_j| and ||beta||_1, which bounds
+    every coefficient, plus 2, in whole bytes.  One to_bytes after a
+    half-digit offset decodes the digits of total degree <= deg c only,
+    in grlex order.
+    """
+    n, k = b.n, len(lams)
+    scale_b = max((c.k for c in b.terms.values()), default=0)
+    scale = max(lt.k for lt in lams) + (k - 1) * scale_b
+    beta = [(exp, c.m << (scale_b - c.k)) for exp, c in b.terms.items()]
+    ls = [lt.m << (scale - lt.k - j * scale_b) for j, lt in enumerate(lams)]
+    norm1 = sum(abs(v) for _, v in beta)
+    bound = 0
+    for lj in reversed(ls):
+        bound = bound * norm1 + abs(lj)
+    width = (bound.bit_length() + 9) // 8  # bytes per digit
+    top = (k - 1) * b.degree()
+    places = [width * (top + 1) ** (n - 1 - i) for i in range(n)]  # byte offsets
+    steps = [(8 * sum(map(operator.mul, exp, places)), v) for exp, v in beta]
+    acc = 0
+    for lj in reversed(ls):
+        acc = sum((acc * v) << s for s, v in steps) + lj
+    digits = (top + 1) ** n
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")  # half per digit
+    raw = (acc + offset).to_bytes(width * digits, "little")
+    terms = {}
+    for exp in monomials_upto(n, top):
+        at = sum(map(operator.mul, exp, places))
+        terms[exp] = Dyadic(int.from_bytes(raw[at:at + width], "little") - half, scale)
+    return Polynomial._ring_result(n, terms, False, ordered=True)
+
+
 def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     """Approximate f at finitely many points by a single scaled 2d-power.
 
@@ -295,14 +346,15 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     so all values land in (0, 1]; Lagrange-interpolate t -> t**(1/2d)
     through the distinct rescaled values; round the interpolant's
     coefficients to dyadics within a derivative-bound budget; compose
-    with the rescaled input.  The certified element is (2**m * c)**(2d)
-    with c exactly dyadic, and every per-point residual is below eps.
+    with the rescaled input, c = sum_i lam_i * b**i, expanded exactly by
+    Horner on one Kronecker-packed integer (``_horner_exact``).  The
+    certified element is (2**m * c)**(2d) with c exactly dyadic, and every
+    per-point residual is below eps.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_d_eps(d, eps)
     pts = [tuple(float(v) for v in p) for p in points]
+    if not pts:
+        raise ValueError("at least one point is required")
     for p in pts:
         if len(p) != f.n:
             raise ValueError(f"point dimension {len(p)} != {f.n}")
@@ -342,9 +394,7 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     kbits = max(0, math.ceil(math.log2(1.0 / coeff_budget)))
     lam_tilde = [nearest_dyadic(l, kbits) for l in lam]
 
-    c = Polynomial.zero(f.n)
-    for lt in reversed(lam_tilde):
-        c = c * b + lt
+    c = _horner_exact(lam_tilde, b)
 
     decomposition = {"m": m, "c": c, "d": d, "shift_k": shift_k,
                      "coeffs": lam_tilde, "nodes": nodes}
@@ -366,10 +416,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     ||f - b**(2d)|| < eps on the samples.  On failure the certificate
     carries the best residual and the degree used.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_d_eps(d, eps)
     if max_fit_degree < 0:
         raise ValueError(f"fit degree must be >= 0, got {max_fit_degree}")
     samples = region.sample_points

@@ -260,7 +260,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        return cls(n, {(0,) * n: c})
+        if n < 1:
+            raise ValueError(f"variable count must be >= 1, got {n}")
+        return cls._ring_result(n, {(0,) * n: _as_coeff(c)}, False, ordered=True)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":

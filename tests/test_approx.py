@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone2d import approx, norms
 from cone2d.approx import (PsdViolationError, module_interpolate,
                            psd_on_fattening, series_root, strictness_witness,
                            sup_approximate, tk_approximate)
 from cone2d.norms import Region, WeightFunction, fatten, phi_norm
-from cone2d.poly import Polynomial, design_matrix
+from cone2d.poly import Dyadic, Polynomial, design_matrix
 from cone2d.spectrum import monomials_upto
 
 
@@ -65,6 +67,101 @@ class TestTkApproximate:
         assert cert.verify()
         json.dumps(cert.to_json_dict())
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            tk_approximate(X(1, 0) ** 2 + 1, [], d=1, eps=0.1)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            tk_approximate(X(1, 0) ** 2 + 1, [(0.5,)], d=1, eps=eps)
+
+    def test_c_is_the_horner_expansion(self):
+        f = (X(2, 0) ** 2 + X(2, 1) ** 2 + 1) * 0.25
+        pts = [(i / 4, (i * i % 7) / 8) for i in range(9)]
+        cert = tk_approximate(f, pts, d=2, eps=1e-3)
+        dec = cert.decomposition
+        b = f.to_exact() * Dyadic(1, 4 * dec["m"])
+        assert dec["shift_k"] is None
+        assert dec["c"].dumps() == _reference_horner(dec["coeffs"], b).dumps()
+
+
+def _reference_horner(lams, b):
+    """sum_i lams[i] * b**i by Horner over Polynomial arithmetic."""
+    c = Polynomial.zero(b.n)
+    for lt in reversed(lams):
+        c = c * b + lt
+    return c
+
+
+def assert_horner_matches_reference(lams, b):
+    got, want = approx._horner_exact(lams, b), _reference_horner(lams, b)
+    assert got == want
+    assert got.dumps() == want.dumps()
+    assert got.is_exact and got.demoted is False
+
+
+def _random_dyadic_poly(rng, n, degree, size):
+    terms = {}
+    for _ in range(size):
+        exp = [0] * n
+        for i in rng.integers(0, n, size=int(rng.integers(0, degree + 1))):
+            exp[i] += 1
+        bits = int(rng.integers(0, 40))
+        terms[tuple(exp)] = Dyadic(int(rng.integers(-(1 << bits), 1 << bits)),
+                                   int(rng.integers(0, 60)))
+    return Polynomial(n, terms)
+
+
+def _dyadics(rng, k):
+    return [Dyadic(int(rng.integers(-(1 << 30), 1 << 30)), int(rng.integers(0, 50)))
+            for _ in range(k)]
+
+
+class TestHornerExact:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seeded_matches_reference(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        b = _random_dyadic_poly(rng, n, 3 if n < 3 else 2, int(rng.integers(1, 7)))
+        assert_horner_matches_reference(_dyadics(rng, int(rng.integers(1, 9 - n))), b)
+
+    @pytest.mark.parametrize("b", [Polynomial.constant(2, Dyadic(-5, 3)),
+                                   Polynomial.constant(3, 255),
+                                   Polynomial.zero(2),
+                                   Polynomial(1, {(3,): Dyadic(-7, 2)}),
+                                   Polynomial(2, {(0, 2): Dyadic(255, 1)})])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_degenerate_b(self, b, k):
+        rng = np.random.default_rng(k)
+        assert_horner_matches_reference(_dyadics(rng, k), b)
+        # positive data: the coefficient bound is reached, or nearly
+        assert_horner_matches_reference([Dyadic((1 << 30) - 1 - i) for i in range(k)], b)
+
+    def test_integer_coefficients(self):
+        b = Polynomial(2, {(1, 0): Dyadic(3), (0, 1): Dyadic(-2), (0, 0): Dyadic(1)})
+        assert_horner_matches_reference([Dyadic(v) for v in (7, -1, 0, 4)], b)
+
+    def test_cancellation_gives_zero(self):
+        b = Polynomial.constant(2, Dyadic(3, 1))
+        assert approx._horner_exact([Dyadic(-3, 1), Dyadic(1)], b).terms == {}
+        assert_horner_matches_reference([Dyadic(-3, 1), Dyadic(1)], b)
+        x = X(1, 0)
+        assert_horner_matches_reference([Dyadic(0)] * 3, x + Dyadic(1, 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 3 if n < 3 else 2)] * n),
+                        st.tuples(st.integers(-2**70, 2**70), st.integers(0, 80)),
+                        max_size=5),
+        st.lists(st.tuples(st.integers(-2**60, 2**60), st.integers(0, 60)),
+                 min_size=1, max_size=7 - n),
+        st.just(n))))
+    def test_matches_reference(self, case):
+        terms, lams, n = case
+        b = Polynomial(n, {e: Dyadic(m, k) for e, (m, k) in terms.items()})
+        assert_horner_matches_reference([Dyadic(m, k) for m, k in lams], b)
+
 
 class TestSupApproximate:
     def setup_method(self):
@@ -89,6 +186,11 @@ class TestSupApproximate:
         assert not cert.success
         assert cert.residuals["witness_value"] < 0
         assert cert.residuals["witness_point"][0] == -1.0
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            sup_approximate(X(1, 0) ** 2, self.k11, d=1, eps=eps, max_fit_degree=4)
 
     def test_failure_certificate_verifies(self):
         cert = sup_approximate(X(1, 0) - 0.5, self.k11, d=1, eps=0.1,

@@ -130,6 +130,21 @@ class TestRingOps:
         assert (p + q).demoted
         assert not p.demoted
 
+    @pytest.mark.parametrize("c", [3, -2, 0.7, Dyadic(5, 3), np.int64(-4), np.float32(0.25),
+                                   np.float64(1.5), 0, 0.0, Dyadic(0), True, False, 1e-301])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_constant_matches_validating_constructor(self, n, c):
+        got = Polynomial.constant(n, c)
+        assert_identical(got, Polynomial(n, {(0,) * n: c}))
+        assert got == Polynomial(n, {(0,) * n: c}) and got.demoted is False
+        assert got.dumps() == Polynomial(n, {(0,) * n: c}).dumps()
+
+    def test_constant_rejects_bad_input(self):
+        with pytest.raises(TypeError):
+            Polynomial.constant(2, "1")
+        with pytest.raises(ValueError, match="variable count"):
+            Polynomial.constant(0, 1)
+
 
 class TestDyadicRound:
     def test_nearest_at_k4(self):
