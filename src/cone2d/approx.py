@@ -298,8 +298,27 @@ def _check_d_eps(d: int, eps: float):
 
 
 def _horner_exact(lams, b: Polynomial) -> Polynomial:
-    """sum_i lams[i] * b**i for dyadic lams and an all-dyadic b, by Horner
-    on one Python int (Kronecker substitution).
+    """sum_i lams[i] * b**i for dyadic lams and an all-dyadic b, by Horner.
+
+    The packed kernel (``_horner_packed``) spans (deg c + 1)**n digits of
+    which it reads only the C(deg c + n, n) of total degree <= deg c.  It
+    runs where that is at most twice as many (n <= 2, and n = 3 at deg c <= 1);
+    elsewhere the span grows like n! times the result, so Horner runs over
+    Polynomial arithmetic, which holds only the terms that occur.  Both
+    give the same terms, byte for byte.
+    """
+    n, top = b.n, (len(lams) - 1) * b.degree()
+    if (top + 1) ** n <= 2 * math.comb(top + n, n):
+        return _horner_packed(lams, b)
+    c = Polynomial.zero(n)
+    for lt in reversed(lams):
+        c = c * b + lt
+    return c
+
+
+def _horner_packed(lams, b: Polynomial) -> Polynomial:
+    """sum_i lams[i] * b**i by Horner on one Python int (Kronecker
+    substitution), for dyadic lams and an all-dyadic b.
 
     With b = beta / 2**B on b's common scale and K the largest scale of the
     lams, the integer polynomial 2**(K + (k-1)B) * c is Horner's
@@ -347,7 +366,9 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
     through the distinct rescaled values; round the interpolant's
     coefficients to dyadics within a derivative-bound budget; compose
     with the rescaled input, c = sum_i lam_i * b**i, expanded exactly by
-    Horner on one Kronecker-packed integer (``_horner_exact``).  The
+    Horner (``_horner_exact``): on one Kronecker-packed integer where
+    that holds at most twice the digits it reads (one and two variables),
+    over Polynomial arithmetic elsewhere.  The
     certified element is (2**m * c)**(2d) with c exactly dyadic, and every
     per-point residual is below eps.
     """

@@ -95,10 +95,11 @@ def _reference_horner(lams, b):
 
 
 def assert_horner_matches_reference(lams, b):
-    got, want = approx._horner_exact(lams, b), _reference_horner(lams, b)
-    assert got == want
-    assert got.dumps() == want.dumps()
-    assert got.is_exact and got.demoted is False
+    want = _reference_horner(lams, b)
+    for got in (approx._horner_packed(lams, b), approx._horner_exact(lams, b)):
+        assert got == want
+        assert got.dumps() == want.dumps()
+        assert got.is_exact and got.demoted is False
 
 
 def _random_dyadic_poly(rng, n, degree, size):
@@ -144,10 +145,34 @@ class TestHornerExact:
 
     def test_cancellation_gives_zero(self):
         b = Polynomial.constant(2, Dyadic(3, 1))
-        assert approx._horner_exact([Dyadic(-3, 1), Dyadic(1)], b).terms == {}
+        assert approx._horner_packed([Dyadic(-3, 1), Dyadic(1)], b).terms == {}
         assert_horner_matches_reference([Dyadic(-3, 1), Dyadic(1)], b)
         x = X(1, 0)
         assert_horner_matches_reference([Dyadic(0)] * 3, x + Dyadic(1, 3))
+
+    @pytest.mark.parametrize("n, k, packed", [(1, 30, True), (2, 30, True),
+                                              (3, 1, True), (3, 2, False),
+                                              (4, 2, False), (8, 2, False)])
+    def test_packs_at_most_twice_the_digits_read(self, monkeypatch, n, k, packed):
+        b = sum((X(n, i) ** 2 for i in range(n)), Polynomial.constant(n, Dyadic(1, 3)))
+        lams = [Dyadic(2 * j + 1, j) for j in range(k)]
+        calls = []
+        monkeypatch.setattr(approx, "_horner_packed",
+                            lambda *a: calls.append(a) or _reference_horner(*a))
+        assert approx._horner_exact(lams, b).dumps() == _reference_horner(lams, b).dumps()
+        assert bool(calls) is packed
+
+    def test_tk_in_eight_variables(self):
+        # Packed, c would span 15**8 digits of 7 bytes (18 GB) to read the
+        # 319770 of degree <= 14; c itself has 6435 terms.
+        n = 8
+        f = sum((X(n, i) ** 2 for i in range(n)), Polynomial.constant(n, 1)) * 0.125
+        pts = [tuple((j + 1) / 8 * (i % 2) for i in range(n)) for j in range(8)]
+        cert = tk_approximate(f, pts, d=1, eps=1e-3)
+        dec = cert.decomposition
+        b = f.to_exact() * Dyadic(1, 2 * dec["m"])
+        assert cert.success and len(dec["coeffs"]) == 8 and len(dec["c"].terms) == 6435
+        assert dec["c"].dumps() == _reference_horner(dec["coeffs"], b).dumps()
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
