@@ -20,6 +20,10 @@ from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
 MAX_RECOMMENDED_DEGREE = 12
+# scipy >= 1.15 wraps the QR updates in a functools.wraps batch dispatch whose 2-D
+# branch is `return f(*arrays, *other_args, **kwargs)` (_apply_over_batch): call f.
+_qr_insert = getattr(qr_insert, "__wrapped__", qr_insert)
+_qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 
 
 @dataclass(frozen=True)
@@ -259,12 +263,12 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     """Lawson-Hanson active-set solution of min ||Ax - b|| s.t. x >= 0.
 
     The passive set is the prefix passive[:k] of an index array, in entry
-    order; its least squares runs on a QR factorization updated as columns
-    enter and leave, one triangular solve per inner step.  A column whose new
-    |R[k, k]| is <= eps * m * ||a_j|| depends numerically on the passive ones
-    and is not admitted for that outer pass.  On convergence the KKT conditions
-    hold: the gradient is >= -tol on the active (zero) set and within tol on
-    the passive set.
+    order; its least squares runs on a QR factorization that scipy's unbatched
+    qr_insert/qr_delete kernels update as columns enter and leave, one
+    triangular solve per inner step.  A column whose new |R[k, k]| is
+    <= eps * m * ||a_j|| depends numerically on the passive ones and is not
+    admitted for that outer pass.  On convergence the KKT conditions hold:
+    the gradient is >= -tol where x = 0 and within tol on the passive set.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, ncols = a.shape
@@ -274,8 +278,8 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
         raise ValueError("A and b must be finite")  # the updates skip this check
     max_iter = 3 * ncols if max_iter is None else max_iter
 
-    at, x = np.ascontiguousarray(a.T), np.zeros(ncols)
-    passive, k = np.empty(min(m, ncols), dtype=np.intp), 0
+    at, x, kmax = np.ascontiguousarray(a.T), np.zeros(ncols), min(m, ncols)
+    passive, k = np.empty(kmax, dtype=np.intp), 0
     q, r = np.eye(m), np.empty((m, 0))
     eps_m, tiny = np.finfo(float).eps * m, np.finfo(float).tiny
     resid, iterations, converged = b, 0, ncols == 0
@@ -283,9 +287,10 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     for _ in range(max_iter):
         w = at @ resid  # negative gradient
         w[passive[:k]] = -np.inf
-        while k < len(passive) and w[j := int(w.argmax())] > tol:
-            q, r = qr_insert(q, r, at[j], k, "col", overwrite_qru=True, check_finite=False)
-            if abs(r[k, k]) > eps_m * math.sqrt(at[j].dot(at[j])):  # = norm(at[j])
+        while k < kmax and w[j := int(w.argmax())] > tol:
+            col = at[j]
+            q, r = _qr_insert(q, r, col, k, "col", overwrite_qru=True, check_finite=False)
+            if abs(r[k, k]) > eps_m * math.sqrt(col.dot(col)):  # = norm(col)
                 break
             r, w[j] = r[:, :k], -np.inf  # Q still factors the first k
         else:
@@ -296,17 +301,17 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
             iterations += 1
             if not k:  # rounding at tol 0 can drop every column in the line search
                 break
-            z = lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0]
-            if z.min() > 0:
-                x[passive[:k]] = z
+            p, z = passive[:k], lapack.dtrtrs(r[:k, :k], q[:, :k].T @ b)[0]
+            if np.minimum.reduce(z) > 0:  # ndarray.min goes through Python
+                x[p] = z
                 break
-            xp, neg = x[passive[:k]], (z <= 0).nonzero()[0]
+            xp, neg = x[p], (z <= 0).nonzero()[0]
             steps = xp[neg] / np.maximum(xp[neg] - z[neg], tiny)  # to feasibility; 0/0 is 0
-            xp += steps.min() * (z - xp)
-            xp[neg[steps.argmin()]] = 0.0  # the blocking column
-            x[passive[:k]] = xp
-            for i in (xp <= tol).nonzero()[0][::-1]:
-                q, r = qr_delete(q, r, i, which="col", overwrite_qr=True, check_finite=False)
+            xp += steps[s := steps.argmin()] * (z - xp)
+            xp[neg[s]] = 0.0  # the blocking column
+            x[p] = xp
+            for i in (xp <= tol).nonzero()[0][::-1].tolist():
+                q, r = _qr_delete(q, r, i, which="col", overwrite_qr=True, check_finite=False)
                 x[passive[i]] = 0.0
                 passive[i:k - 1], k = passive[i + 1:k], k - 1
         resid = b - x[passive[:k]] @ at[passive[:k]]
@@ -317,8 +322,8 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
 @dataclass
 class RecoveryResult:
     """Atomic surrogate for a representing measure, with the moment-match
-    residual.  A residual bounded away from zero flags that no measure on
-    the grid (and likely none on the region) represents the functional."""
+    residual.  A residual bounded away from zero shows only that no nonnegative
+    combination of grid atoms matches the moments."""
 
     measure: AtomicMeasure
     residual: float

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -19,16 +18,17 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def monomials_upto(n: int, degree: int) -> list[tuple]:
-    """All exponent vectors with |s| <= degree, in graded lex order: each degree's
-    index multisets come in lex order, which is descending lex order of exponents."""
-    exps = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(n), d):
-            exp = [0] * n
-            for i in combo:
-                exp[i] += 1
-            exps.append(tuple(exp))
-    return exps
+    """All exponent vectors with |s| <= degree, in graded lex order: within a
+    degree, descending lex order of exponents."""
+    if n == 0:
+        return [()] if degree >= 0 else []
+    # levels[d]: the exponents of the last i variables that sum to d, descending;
+    # each step puts a new first exponent e = d, d - 1, ..., 0 in front
+    levels = [[(d,)] for d in range(degree + 1)]
+    for _ in range(n - 1):
+        levels = [[(e,) + rest for e in range(d, -1, -1) for rest in levels[d - e]]
+                  for d in range(degree + 1)]
+    return [exp for level in levels for exp in level]
 
 
 def coefficient_space_dim(n: int, degree: int) -> int:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, qr_delete, qr_insert
 from scipy.optimize import nnls as scipy_nnls
 
+from cone2d import moments
 from cone2d.moments import (AtomicMeasure, MomentFunctional, NNLSResult,
                             PowerVerdict, from_measure, hankel_psd_check,
                             measure_recover, nnls, phi_continuity,
@@ -79,7 +80,10 @@ def _reference_nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
 
 
 def assert_same_as_reference(a, b, r, **kwargs):
-    want = _reference_nnls(a, b, **kwargs)
+    assert_same_result(r, _reference_nnls(a, b, **kwargs))
+
+
+def assert_same_result(r, want):
     assert np.array_equal(r.x, want.x)
     assert (r.iterations, r.converged, r.objective_trace, r.residual_norm) == \
         (want.iterations, want.converged, want.objective_trace, want.residual_norm)
@@ -396,6 +400,45 @@ class TestNnlsAgainstScipy:
         r = nnls(a, b, tol=1e-16)
         assert np.all(np.isfinite(r.x)) and np.all(r.x >= 0)
         assert r.residual_norm <= 1e-13 * np.linalg.norm(b)
+
+
+def square_grid_system(values, degree):
+    """measure_recover's system and gradient tolerance for moments
+    values(a, b) of x^a y^b on the 41 x 41 grid of [0, 1]^2."""
+    k = Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025)
+    monos = monomials_upto(2, degree)
+    b = np.array([values(*e) for e in monos])
+    return design_matrix(k.sample_points, monos).T, b, min(1e-12, 1e-12 / 16 / b[0])
+
+
+THREE_ATOMS = [(0.25, 0.5, 0.5), (0.75, 0.125, 0.3), (0.5, 0.875, 0.2)]  # x, y, weight
+
+
+class TestNnlsUpdates:
+    def test_calls_unbatched_kernels(self):
+        assert moments._qr_insert is getattr(qr_insert, "__wrapped__", qr_insert)
+        assert moments._qr_delete is getattr(qr_delete, "__wrapped__", qr_delete)
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_public_updates_give_same_result(self, seed, monkeypatch):
+        # the path taken where scipy has no batch dispatch around the kernels
+        a, b = atomic_moment_system(seed)
+        want = nnls(a, b, tol=1e-14)
+        monkeypatch.setattr(moments, "_qr_insert", qr_insert)
+        monkeypatch.setattr(moments, "_qr_delete", qr_delete)
+        assert_same_result(nnls(a, b, tol=1e-14), want)
+
+    @pytest.mark.parametrize("values, degree", [
+        # 58 passive columns at the end
+        (lambda a, b: 1 / ((a + 1) * (b + 1)), 10),
+        # about a hundred inner steps, half of them dropping columns
+        (lambda a, b: sum(w * x**a * y**b for x, y, w in THREE_ATOMS), 8),
+    ], ids=["uniform-square", "three-atoms"])
+    def test_square_grid_recover_systems(self, values, degree):
+        a, b, tol = square_grid_system(values, degree)
+        r = nnls(a, b, tol=tol)
+        assert r.converged and r.residual_norm <= 1e-6
+        assert_same_as_reference(a, b, r, tol=tol)
 
 
 class TestNnlsColumns:

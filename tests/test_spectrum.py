@@ -13,6 +13,19 @@ from cone2d.spectrum import (coefficient_space_dim, is_hausdorff, kphi_box,
                              vanishing_ideal_basis)
 
 
+def _reference_monomials(n: int, degree: int) -> list[tuple]:
+    """``monomials_upto`` from index multisets, kept verbatim: the walk over
+    compositions must reproduce its list."""
+    exps = []
+    for d in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n), d):
+            exp = [0] * n
+            for i in combo:
+                exp[i] += 1
+            exps.append(tuple(exp))
+    return exps
+
+
 class TestMonomials:
     def test_count_matches_binomial(self):
         for n, d in [(1, 4), (2, 3), (3, 2)]:
@@ -31,6 +44,13 @@ class TestMonomials:
                 cube = itertools.product(range(d + 1), repeat=n)
                 ref = sorted(set(s for s in cube if sum(s) <= d), key=grlex_key)
                 assert monomials_upto(n, d) == ref, (n, d)
+
+    def test_equals_multiset_reference(self):
+        for n in range(1, 6):
+            for d in range(13):
+                assert monomials_upto(n, d) == _reference_monomials(n, d), (n, d)
+        for n, d in [(0, 0), (0, 3), (2, 48), (3, -1)]:
+            assert monomials_upto(n, d) == _reference_monomials(n, d), (n, d)
 
 
 class TestKphiContains:
