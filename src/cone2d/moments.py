@@ -1,6 +1,7 @@
 """Truncated moment functionals: positivity checks, norm-continuity
-constants, and desk-scale recovery of representing atomic measures by
-nonnegative least squares on a region's sample grid.
+constants, and desk-scale recovery of representing atomic measures on a
+region's sample grid, read off a flat moment matrix or fitted by
+nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
 MAX_RECOMMENDED_DEGREE = 12
+# Moment-matrix eigenvalues within this fraction of the largest count as zero.
+FLAT_RANK_TOL = 1e-9
 # scipy >= 1.15 wraps the QR updates in a functools.wraps batch dispatch whose 2-D
 # branch is `return f(*arrays, *other_args, **kwargs)` (_apply_over_batch): call f.
 _qr_insert = getattr(qr_insert, "__wrapped__", qr_insert)
@@ -38,8 +41,10 @@ class AtomicMeasure:
         if len(self.atoms) != len(self.weights):
             raise ValueError("atoms and weights must have equal length")
         for w in self.weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
+            if not w >= 0:
+                raise ValueError(f"weights must be >= 0, got {w}")
+        if not all(math.isfinite(v) for a in self.atoms for v in a):
+            raise ValueError("atom coordinates must be finite")
 
     @classmethod
     def of(cls, atoms, weights) -> "AtomicMeasure":
@@ -129,9 +134,20 @@ class PsdVerdict(NamedTuple):
 
 
 def _moment_matrix(functional: MomentFunctional, monos: list) -> np.ndarray:
-    """M[s, t] = L(X^(s+t)) over the given monomials."""
-    return np.array([[functional.moments[tuple(map(operator.add, s, t))] for t in monos]
-                     for s in monos], dtype=float)
+    """M[s, t] = L(X^(s+t)) over the given monomials.  Each exponent packs
+    into one integer, its entries as digits in a base above every entry of
+    s + t, so the key of s + t is the sum of two keys and every distinct
+    s + t is looked up in L once, through the table of key sums."""
+    n = functional.n
+    exps = np.array(monos, dtype=np.int64).reshape(len(monos), n)
+    base = 2 * int(exps.max(initial=0)) + 1
+    dtype = np.int64 if base**n < 2**63 else object  # object: Python ints
+    digits = np.array([base**i for i in range(n - 1, -1, -1)], dtype=dtype)
+    keys = exps.astype(dtype) @ digits
+    distinct, table = np.unique(keys[:, None] + keys, return_inverse=True)
+    sums = (distinct[:, None] // digits % base).tolist()
+    values = np.array([functional.moments[tuple(e)] for e in sums], dtype=float)
+    return values[table.reshape(len(monos), len(monos))]
 
 
 def hankel_psd_check(functional: MomentFunctional, tol: float = 1e-10) -> PsdVerdict:
@@ -323,7 +339,13 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
 class RecoveryResult:
     """Atomic surrogate for a representing measure, with the moment-match
     residual.  A residual bounded away from zero shows only that no nonnegative
-    combination of grid atoms matches the moments."""
+    combination of grid atoms matches the moments.
+
+    When the moment matrix is flat its atoms are read off it and their weights
+    fitted by least squares; that result is returned only if it is one NNLS
+    could stop at (weights > 0, residual <= tol, gradient within the NNLS
+    tolerance on every grid atom), so ``converged`` means the same either way.
+    Otherwise the result is NNLS's."""
 
     measure: AtomicMeasure
     residual: float
@@ -341,11 +363,63 @@ class RecoveryResult:
         return self.success == bool(np.linalg.norm(gap) <= self.tol)
 
 
+def _flat_support(functional: MomentFunctional, samples: np.ndarray,
+                  monos: list) -> np.ndarray | None:
+    """Indices of the samples nearest the atoms of a flat moment matrix, in
+    increasing order, or None when the matrix is not flat.
+
+    With t = floor(D/2), M_t over the first C(n + t, n) of the graded
+    ``monos`` factors as V V^T (eigenvalues within FLAT_RANK_TOL * lambda_max
+    count as zero).  It is flat when its rank r equals that of M_(t-1), the
+    leading block V_low V_low^T; then L on degree <= 2t is an r-atomic
+    measure (Curto & Fialkow 1996) and V_low^+ V_i, with V_i the rows of V
+    at s + e_i for the s of degree < t, are the multiplication matrices:
+    symmetric, with the atoms' i-th coordinates as their common eigenvalues
+    (Henrion & Lasserre 2005).  Each atom is snapped to its nearest sample;
+    two atoms on one sample give None."""
+    n, t = functional.n, functional.degree // 2
+    if t < 1:
+        return None
+    low, high = math.comb(n + t - 1, n), math.comb(n + t, n)
+    mat = _moment_matrix(functional, monos[:high])
+    if not np.isfinite(mat).all():
+        return None
+    lam, u = np.linalg.eigh(mat)
+    cut = FLAT_RANK_TOL * lam[-1]
+    r = int(np.count_nonzero(lam > cut))
+    if not lam[0] >= -cut or not 0 < r <= low:  # not PSD, or too many atoms
+        return None
+    v = u[:, high - r:] * np.sqrt(lam[high - r:])
+    w, sigma, zt = np.linalg.svd(v[:low], full_matrices=False)
+    if not sigma[-1] ** 2 > cut:  # rank M_(t-1) < r
+        return None
+    pinv = (zt.T / sigma) @ w.T
+    row = {s: i for i, s in enumerate(monos[:high])}
+    mult = [pinv @ v[[row[s[:i] + (s[i] + 1,) + s[i + 1:]] for s in monos[:low]]]
+            for i in range(n)]
+    # Golden-ratio weights: no two lattice atoms share the combination.
+    mix = sum(m * ((math.sqrt(5) - 1) / 2) ** i for i, m in enumerate(mult))
+    q = np.linalg.eigh(mix + mix.T)[1]
+    points = np.column_stack([np.einsum("ij,ik,kj->j", q, m, q) for m in mult])
+    idx = {int(np.argmin(((samples - p) ** 2).sum(axis=1))) for p in points}
+    return np.array(sorted(idx)) if len(idx) == r else None
+
+
 def measure_recover(functional: MomentFunctional, region: Region,
                     tol: float = 1e-6) -> RecoveryResult:
-    """Nonnegative least squares fit of grid-atom weights to the moments."""
+    """Atomic measure on the region's samples whose moments fit L's.
+
+    A flat moment matrix gives its atoms directly (``_flat_support``), with
+    weights fitted by least squares on their design columns.  That fit is
+    kept when every weight is > 0, the residual is <= tol and the gradient
+    a^T (b - a x) on every sample is within the NNLS tolerance below, where
+    NNLS itself stops.  Every other input, and every flat one that misses a
+    check, goes to nonnegative least squares over all samples, unchanged.
+    """
     if functional.n != region.n:
         raise ValueError(f"variable count mismatch: {functional.n} vs {region.n}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if functional.degree > MAX_RECOMMENDED_DEGREE:
         import warnings
 
@@ -362,7 +436,19 @@ def measure_recover(functional: MomentFunctional, region: Region,
     b = np.array([functional.moments[exp] for exp in monos])
     # Row 0 of a is all ones, so ||x||_1 = L(1) = b[0] for x >= 0: a gradient
     # below tol**2 / (16 L(1)) leaves a residual below tol where an x* >= 0 fits.
-    result = nnls(a, b, tol=min(1e-12, tol**2 / 16 / b[0]) if b[0] > 0 else 1e-12)
+    kkt_tol = min(1e-12, tol**2 / 16 / b[0]) if b[0] > 0 else 1e-12
+    support = _flat_support(functional, atoms, monos)
+    if support is not None:
+        a_s = a[:, support]
+        x = np.linalg.lstsq(a_s, b)[0]
+        # One refinement step: the gradient test below sits near rounding level.
+        x += np.linalg.lstsq(a_s, b - a_s @ x)[0]
+        resid = b - a_s @ x
+        residual = math.sqrt(resid.dot(resid))
+        if x.min() > 0 and residual <= tol and (resid @ a).max() <= kkt_tol:
+            return RecoveryResult(AtomicMeasure.of(atoms[support], x), residual,
+                                  len(x), True, True, tol)
+    result = nnls(a, b, tol=kkt_tol)
     keep = result.x > 0
     measure = AtomicMeasure.of(atoms[keep], result.x[keep])
     return RecoveryResult(measure, result.residual_norm,

@@ -138,6 +138,7 @@ class TestLoaders:
     ["spectrum", "hausdorff", "--points", "{pts_bool_string}", "--degree", "1"],
     ["compare", "--region", "{region_bool_string}"],
     ["moments", "recover", "--moments", "{moments_negative_D}", "--region", "{region}"],
+    ["moments", "recover", "--moments", "{mom4}", "--region", "{region}", "--tol", "-1"],
 ], ids=["tk-eps", "sup-eps", "witness-eps", "rho-dimension", "check-degree",
         "tk-flat-points", "hausdorff-flat-points", "phi-table-missing",
         "kphi-box-table-missing", "continuity-table-missing",
@@ -156,7 +157,8 @@ class TestLoaders:
         "table-negative-value", "poly-is-directory", "witness-negative-degree",
         "sup-negative-max-degree", "moments-bool-value", "moments-string-value",
         "table-bool-value", "table-duplicate-exponent", "geometric-string-radius",
-        "points-bool-and-string", "region-bool-and-string", "recover-negative-D"])
+        "points-bool-and-string", "region-bool-and-string", "recover-negative-D",
+        "recover-tol-negative"])
 def test_bad_input_exits_2_with_json_error(files, capsys, tmp_path, argv):
     paths = {
         "directory": str(tmp_path),

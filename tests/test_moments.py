@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import operator
 import warnings
 from pathlib import Path
 
@@ -145,6 +146,15 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             AtomicMeasure.of([(0.0,)], [-0.5])
 
+    @pytest.mark.parametrize("atoms, weights, match", [
+        ([(0.0,)], [float("nan")], "weights must be >= 0"),
+        ([(float("nan"),)], [1.0], "finite"),
+        ([(0.5, float("inf"))], [1.0], "finite"),
+    ], ids=["nan-weight", "nan-atom", "inf-atom"])
+    def test_non_finite_rejected(self, atoms, weights, match):
+        with pytest.raises(ValueError, match=match):
+            AtomicMeasure.of(atoms, weights)
+
     def test_incomplete_moments_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             MomentFunctional(1, 2, {(0,): 1.0, (1,): 0.0})
@@ -161,6 +171,32 @@ class TestFunctionals:
 
 def indefinite_functional():
     return MomentFunctional(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
+
+
+def _reference_moment_matrix(functional: MomentFunctional, monos: list) -> np.ndarray:
+    """``_moment_matrix`` as one tuple sum per entry, kept verbatim: the
+    index table must give the same matrix, bit for bit."""
+    return np.array([[functional.moments[tuple(map(operator.add, s, t))] for t in monos]
+                     for s in monos], dtype=float)
+
+
+class TestMomentMatrix:
+    @pytest.mark.parametrize("n, half", [(0, 2), (1, 5), (2, 3), (2, 6), (3, 2), (4, 3)])
+    def test_matches_reference(self, n, half):
+        rng = np.random.default_rng([n, half])
+        monos = monomials_upto(n, 2 * half)
+        L = MomentFunctional(n, 2 * half, dict(zip(monos, rng.standard_normal(len(monos)))))
+        half_monos = monomials_upto(n, half)
+        got = moments._moment_matrix(L, half_monos)
+        assert np.array_equal(got, _reference_moment_matrix(L, half_monos))
+        assert got.dtype == float and got.shape == (len(half_monos),) * 2
+
+    def test_keys_past_int64(self):
+        # 3**41 > 2**63: the keys fall back to Python integers
+        L = uniform_box_moments([(0, 1)] * 41, 2)
+        monos = monomials_upto(41, 1)
+        assert np.array_equal(moments._moment_matrix(L, monos),
+                              _reference_moment_matrix(L, monos))
 
 
 class TestHankel:
@@ -532,6 +568,13 @@ class TestNnlsColumns:
                 nnls(*args)
 
 
+def recorded_miss():
+    data = json.loads((Path(__file__).parent / "data"
+                       / "recover_miss_moments.json").read_text())
+    return (MomentFunctional.from_json_dict(data),
+            Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025))
+
+
 class TestRecovery:
     def test_on_grid_dirac(self):
         k = Region.from_box([(-1, 1)], resolution=0.1)
@@ -553,13 +596,16 @@ class TestRecovery:
     def test_on_grid_atomic_recorded_miss(self):
         # 2-D, D = 8 moments of an atomic measure on the atoms2 grid of
         # perfbench cli_moments seed 306 (job 62): NNLS at a gradient
-        # tolerance of 1e-12 stalled at 1.15e-6; the tolerance derived from
-        # the residual tolerance recovers the measure.
-        data = json.loads((Path(__file__).parent / "data"
-                           / "recover_miss_moments.json").read_text())
-        k = Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025)
-        rec = measure_recover(MomentFunctional.from_json_dict(data), k)
-        assert rec.success
+        # tolerance of 1e-12 stalled at 1.15e-6.  The moment matrix is flat
+        # of rank 7, so the flat rung reads the 7 atoms off it.
+        rec = measure_recover(*recorded_miss())
+        assert rec.success and rec.converged and rec.support_size == 7
+
+    def test_on_grid_atomic_recorded_miss_by_nnls(self, monkeypatch):
+        # The tolerance derived from the residual tolerance lets NNLS alone
+        # recover the same data.
+        rec = plain_nnls_recover(*recorded_miss(), monkeypatch)
+        assert rec.success and rec.converged and rec.support_size > 7
 
     def test_indefinite_has_no_representation(self):
         k = Region.from_box([(-1, 1)], resolution=0.02)
@@ -579,6 +625,12 @@ class TestRecovery:
         assert rec.verify(functional)
         assert not dataclasses.replace(rec, success=not rec.success).verify(functional)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        L = from_measure(AtomicMeasure.of([(0.5,)], [1.0]), 4)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            measure_recover(L, Region.from_box([(0, 1)], resolution=0.1), tol)
+
     def test_huge_total_mass_tolerance(self):
         # tol**2 / (16 L(1)) overflowed 16 L(1) at L(1) = 1e308
         L = MomentFunctional(1, 2, {(0,): 1e308, (1,): 0.0, (2,): 0.0})
@@ -587,6 +639,99 @@ class TestRecovery:
             rec = measure_recover(L, Region.from_box([(-1, 1)], resolution=0.5))
         assert not [w for w in caught if "scalar multiply" in str(w.message)]
         assert rec.verify(L)
+
+
+def signed_moments(atoms, weights, degree):
+    """Moments of sum_j w_j delta(atoms_j), where a weight may be negative."""
+    monos = monomials_upto(len(atoms[0]), degree)
+    values = np.asarray(weights, dtype=float) @ design_matrix(atoms, monos)
+    return MomentFunctional(len(atoms[0]), degree, dict(zip(monos, values.tolist())))
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """The calls measure_recover makes to nnls, one entry each."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "nnls", counted)
+    return calls
+
+
+def plain_nnls_recover(functional, region, monkeypatch):
+    """measure_recover with the flat rung switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(moments, "_flat_support", lambda *args: None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return measure_recover(functional, region)
+
+
+UNIT = Region.from_box([(0.0, 1.0)], resolution=0.1)
+SQUARE = Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025)  # 41 x 41
+
+
+class TestFlatRung:
+    @pytest.mark.parametrize("box, resolution, idx, weights, degree", [
+        ([(-1, 1)], 0.1, [15], [1.0], 6),
+        ([(0, 1)], 0.01, [30, 31, 70], [0.4, 0.7, 0.2], 8),
+        ([(0, 1), (0, 1)], 0.025, [500], [0.3], 6),
+        ([(0, 1), (0, 1)], 0.025, [300, 301, 342, 1000, 1500], [0.5, 0.2, 0.9, 0.4, 0.1], 10),
+    ], ids=["1d-dirac", "1d-adjacent", "2d-dirac", "2d-adjacent"])
+    def test_on_grid_atoms_skip_nnls(self, box, resolution, idx, weights, degree,
+                                     nnls_calls):
+        k = Region.from_box(box, resolution=resolution)
+        mu = AtomicMeasure.of(k.sample_points[idx], weights)
+        L = from_measure(mu, degree)
+        rec = measure_recover(L, k)
+        assert nnls_calls == []
+        assert rec.measure.atoms == mu.atoms  # the samples, in sample order
+        assert np.allclose(rec.measure.weights, weights, rtol=0, atol=1e-9)
+        assert (rec.success, rec.converged, rec.support_size) == (True, True, len(idx))
+        assert rec.verify(L)
+
+    @pytest.mark.parametrize("functional, region", [
+        (uniform_box_moments([(-1, 1)], 8), Region.from_box([(-1, 1)], resolution=0.02)),
+        (uniform_box_moments([(0, 1), (0, 1)], 10), SQUARE),
+        (indefinite_functional(), Region.from_box([(-1, 1)], resolution=0.02)),
+        (signed_moments(SQUARE.sample_points[[200, 900, 1300]], [0.6, 0.4, -0.5], 8),
+         SQUARE),
+        (MomentFunctional(1, 2, {(0,): -1.0, (1,): 0.0, (2,): 0.0}), UNIT),
+        # lambda_min ~ -3e-8 lambda_max: not PSD, although the Dirac at 0 fits
+        # within tol and meets the gradient test on [0, 1]
+        (signed_moments([(0.0,), (0.5,)], [1.0, -1e-7], 6), UNIT),
+        # flat, but both atoms snap to 0.5
+        (signed_moments([(0.52,), (0.54,)], [1.0, 1.0], 6), UNIT),
+        # flat, atoms snap to 0.5 and 0.6: the fit gives 0.5 a weight < 0
+        (signed_moments([(0.5,), (0.64,)], [0.05, 1.0], 6), UNIT),
+        # rank 1 at the cut, so the Dirac at 0.5 fits within tol, but the
+        # gradient at 0.7 is ~1e-11, above the NNLS tolerance
+        (signed_moments([(0.5,), (0.7,)], [1.0, 1e-10], 6), UNIT),
+    ], ids=["uniform-1d", "uniform-2d", "indefinite", "signed-2d", "negative-mass",
+            "nearly-signed", "snap-collision", "negative-fit-weight", "kkt-gradient"])
+    def test_other_inputs_match_plain_nnls(self, functional, region, nnls_calls,
+                                           monkeypatch):
+        rec = measure_recover(functional, region)
+        assert len(nnls_calls) == 1
+        assert repr(rec) == repr(plain_nnls_recover(functional, region, monkeypatch))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_moments_reach_nnls_check(self, bad):
+        # eigh raises LinAlgError on a NaN matrix; the rung steps aside
+        L = MomentFunctional(1, 2, {(0,): 1.0, (1,): bad, (2,): 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            measure_recover(L, UNIT)
+
+    def test_huge_total_mass_matches_nnls(self, monkeypatch):
+        L = MomentFunctional(1, 2, {(0,): 1e308, (1,): 0.0, (2,): 0.0})
+        k = Region.from_box([(-1, 1)], resolution=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = measure_recover(L, k)
+        assert repr(rec) == repr(plain_nnls_recover(L, k, monkeypatch))
 
 
 @settings(max_examples=30, deadline=None)
