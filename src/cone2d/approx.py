@@ -23,13 +23,13 @@ from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
 NODE_TIE_TOL = 1e-12
-# A Chebyshev fit is kept when the singular values of its Gram matrix give
-# cond(Gram) <= GRAM_COND (past it the normal equations lose more than half
-# the float digits) and when the rounding scale of its monomial form,
-# u * sum |c_k| * corner**k with corner the box's largest |x| per side, is
-# at most MONOMIAL_ROUNDING * eps (a box far from the origin can fail this).
-# Otherwise the fit falls back to SVD least squares on column-scaled
-# monomials.
+# The sup and witness fit (_fit) keeps its Chebyshev side when the singular
+# values of its Gram matrix give cond(Gram) <= GRAM_COND (past it the normal
+# equations lose more than half the float digits) and when the rounding
+# scale of its monomial form, u * sum |c_k| * corner**k with corner the
+# box's largest |x| per side, is at most MONOMIAL_ROUNDING * eps (a box far
+# from the origin can fail this).  Otherwise it runs its monomial side, SVD
+# least squares on the column-scaled monomial design.
 GRAM_COND = 1e8
 MONOMIAL_ROUNDING = 1e-6
 # Candidate c of module_interpolate's separating form x1 + c*x2 + ...
@@ -171,7 +171,7 @@ def _gram_solve(gram, rhs):
     """x with gram @ x = rhs by SVD least squares, or None when the singular
     values give cond(gram) > GRAM_COND."""
     x, _, _, sigma = np.linalg.lstsq(gram, rhs, rcond=None)
-    return x if sigma[-1] * GRAM_COND >= sigma[0] else None
+    return x if not sigma.size or sigma[-1] * GRAM_COND >= sigma[0] else None
 
 
 def _chebyshev_powers(top: int, lo: float, hi: float) -> np.ndarray:
@@ -210,15 +210,6 @@ def _monomial_form(coeffs, monos, box, eps):
     corner = [max(abs(lo), abs(hi)) for lo, hi in box]
     size = np.abs(coeffs) @ design_matrix([corner], monos)[0]
     return coeffs if np.finfo(float).eps * size <= MONOMIAL_ROUNDING * eps else None
-
-
-def _chebyshev_fit(samples, monos, box, target, eps):
-    """Monomial coefficients of the least-squares fit of target on the
-    samples, solved on the normal equations in the box's Chebyshev basis;
-    None when the Gram matrix or the monomial form fails its check."""
-    a = design_matrix(samples, monos, box)
-    coeffs = _gram_solve(a.T @ a, a.T @ target)
-    return None if coeffs is None else _monomial_form(coeffs, monos, box, eps)
 
 
 def _binomial_coeffs(r: float, d: int, n_terms: int, sign: int) -> list:
@@ -428,12 +419,11 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     """Approximate f in the sampled sup-norm by b**(2d).
 
     The continuous target (f + eps/2)**(1/2d) is fitted by discrete
-    least squares over the region's sample grid: SVD least squares on the
-    normal equations in the total-degree Chebyshev basis of the region's
-    box, and b converted to monomials once.  Where that Gram matrix is ill
-    conditioned (GRAM_COND) or b's monomial form rounds visibly on the box
-    (MONOMIAL_ROUNDING), SVD least squares on column-scaled monomials,
-    whose rank deficiency the message reports.  Success means
+    least squares over the region's sample grid, by ``_fit`` with no
+    constraints: the normal equations in the total-degree Chebyshev basis
+    of the region's box, or SVD least squares on column-scaled monomials
+    where those fail their checks (GRAM_COND, MONOMIAL_ROUNDING); the
+    message reports the rank deficiency of the latter.  Success means
     ||f - b**(2d)|| < eps on the samples.  On failure the certificate
     carries the best residual and the degree used.
     """
@@ -451,16 +441,9 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
 
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
-    message = ""
-    coeffs = _chebyshev_fit(samples, monos, region.box, target, eps)
-    if coeffs is None:
-        a = design_matrix(samples, monos)
-        scale = np.max(np.abs(a), axis=0)
-        scale[scale == 0] = 1.0
-        coeffs, _, rank, _ = np.linalg.lstsq(a / scale, target, rcond=None)
-        coeffs = coeffs / scale
-        if rank < len(monos):
-            message = f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
+    coeffs, _, rank = _fit((), (), samples, target, monos, region.box, eps)
+    message = (f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
+               if rank < len(monos) else "")
     b = Polynomial(f.n, {exp: float(ci) for exp, ci in zip(monos, coeffs)})
 
     residuals = _power_gap(fvals, b, d, samples)
@@ -550,61 +533,62 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
                     lambda res: max(res["per_point"]) < 1e-9)
 
 
-def _constrained_fit(anchors, rhs, samples, bump, monos, box, eps):
-    """(monomial coefficients x, feasibility |C x0 - rhs|) of the least-
-    squares fit of bump on the samples subject to C x = rhs at the anchors,
-    in the box's Chebyshev basis, by the null-space method x = x0 + Z y:
-    one SVD of C gives x0 and Z, and y solves the normal equations by
-    _gram_solve.  None when Z^T A^T A Z or the monomial form of x fails
-    its check (GRAM_COND, MONOMIAL_ROUNDING)."""
-    constraints = design_matrix(anchors, monos, box)
-    u, sigma, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
-    x0 = vt[:rank].T @ (u[:, :rank].T @ rhs / sigma[:rank])
-    feas = np.linalg.norm(constraints @ x0 - rhs)
-    z = vt[rank:].T
-    x = x0
-    if z.shape[1] > 0:
-        a = design_matrix(samples, monos, box)
-        gram = a.T @ a
-        y = _gram_solve(z.T @ gram @ z, z.T @ (a.T @ bump - gram @ x0))
-        if y is None:
-            return None
-        x = x0 + z @ y
-    x = _monomial_form(x, monos, box, eps)
-    return None if x is None else (x, feas)
+def _fit(anchors, rhs, samples, target, monos, box, eps):
+    """(monomial coefficients x, feasibility |C x0 - rhs|, rank) of the
+    least-squares fit of target on the samples subject to C x = rhs at the
+    anchors, by the null-space method (Golub & Van Loan, Matrix
+    Computations, 6.2): one SVD of C gives the minimum-norm x0 and a basis
+    Z of its null space, and x = x0 + Z y with y the least-squares fit of
+    target - A x0 by A Z.  With no anchors, x0 = 0 and Z = I without an
+    SVD, and A Z is A.
 
-
-def _constrained_lstsq(anchors, rhs, samples, bump, monos):
-    """_constrained_fit in monomials by SVD least squares, for fits that
-    fail its checks."""
-    constraints = design_matrix(anchors, monos)
-    x0, _, _, _ = np.linalg.lstsq(constraints, rhs, rcond=None)
-    feas = np.linalg.norm(constraints @ x0 - rhs)
-    _, sigma, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
-    z = vt[rank:].T
-    if z.shape[1] > 0:
-        a_mat = design_matrix(samples, monos)
-        y, _, _, _ = np.linalg.lstsq(a_mat @ z, bump - a_mat @ x0, rcond=None)
-        return x0 + z @ y, feas
-    return x0, feas
+    The fit runs in the box's Chebyshev basis, y from the normal equations
+    by _gram_solve, and is kept unless those or x's monomial form fail
+    their check (GRAM_COND, MONOMIAL_ROUNDING).  Otherwise it runs again
+    in monomials, y by SVD least squares on the column-scaled A Z, and
+    rank is that solve's (Z's column count on the Chebyshev side)."""
+    x0, z, feas = np.zeros(len(monos)), np.eye(len(monos)), 0.0
+    for basis in (box, None):
+        if len(anchors):
+            constraints = design_matrix(anchors, monos, basis)
+            u, sigma, vt = np.linalg.svd(constraints)
+            rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+            x0 = vt[:rank].T @ (u[:, :rank].T @ rhs / sigma[:rank])
+            z = vt[rank:].T
+            feas = np.linalg.norm(constraints @ x0 - rhs)
+        a = design_matrix(samples, monos, basis)
+        if basis is not None:
+            gram = a.T @ a
+            y = _gram_solve(z.T @ gram @ z, z.T @ (a.T @ target - gram @ x0))
+            x = None if y is None else _monomial_form(x0 + z @ y, monos, box, eps)
+            fit_rank = z.shape[1]
+        else:
+            az = a @ z if len(anchors) else a
+            scale = np.max(np.abs(az), axis=0)
+            scale[scale == 0] = 1.0
+            y, _, fit_rank, _ = np.linalg.lstsq(az / scale, target - a @ x0, rcond=None)
+            x = x0 + z @ (y / scale)
+        if x is not None:
+            return x, feas, fit_rank
 
 
 def strictness_witness(points, region: Region, eps: float,
                        fit_degree: int) -> Certificate:
     """Witness that the sup-norm ball contains no evaluation-seminorm
     neighborhood: a polynomial small at all the given points yet of
-    sampled sup-norm near 1, via a constrained fit to a bump target
-    vanishing near the points and equal to 1 at a separated sample.  The
-    fit runs in the Chebyshev basis of the region's box and falls back to
-    SVD least squares in monomials as ``sup_approximate`` does.
+    sampled sup-norm near 1, via the least-squares fit ``_fit`` that
+    ``sup_approximate`` shares, here of a bump target vanishing near the
+    points, constrained to 0 at them and to 1 at a separated sample.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if fit_degree < 0:
         raise ValueError(f"fit degree must be >= 0, got {fit_degree}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not pts.size:
+        raise ValueError("at least one point is required")
+    if pts.shape[1] != region.n:
+        raise ValueError(f"point dimension {pts.shape[1]} != {region.n}")
     samples = region.sample_points
     tree = cKDTree(pts)
     dist, _ = tree.query(samples, k=1)
@@ -624,8 +608,7 @@ def strictness_witness(points, region: Region, eps: float,
     rhs[-1] = 1.0
     bump = np.clip(dist / dist[ib], 0.0, 1.0) ** 2
     anchors = np.vstack([pts, beta])
-    x, feas = (_constrained_fit(anchors, rhs, samples, bump, monos, region.box, eps)
-               or _constrained_lstsq(anchors, rhs, samples, bump, monos))
+    x, feas, _ = _fit(anchors, rhs, samples, bump, monos, region.box, eps)
     a_poly = Polynomial(region.n, {exp: float(ci) for exp, ci in zip(monos, x)})
 
     cert = _checked("witness", params, {"a": a_poly, "beta": beta},

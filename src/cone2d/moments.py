@@ -75,6 +75,8 @@ class MomentFunctional:
         missing = [s for s in needed if s not in self.moments]
         if missing:
             raise ValueError(f"incomplete moment data: missing {missing[:3]}...")
+        if not all(math.isfinite(v) for v in self.moments.values()):
+            raise ValueError("moments must be finite")
 
     def __call__(self, f: Polynomial) -> float:
         if f.n != self.n:
@@ -382,8 +384,6 @@ def _flat_support(functional: MomentFunctional, samples: np.ndarray,
         return None
     low, high = math.comb(n + t - 1, n), math.comb(n + t, n)
     mat = _moment_matrix(functional, monos[:high])
-    if not np.isfinite(mat).all():
-        return None
     lam, u = np.linalg.eigh(mat)
     cut = FLAT_RANK_TOL * lam[-1]
     r = int(np.count_nonzero(lam > cut))

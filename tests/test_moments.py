@@ -163,6 +163,13 @@ class TestFunctionals:
         with pytest.raises(ValueError, match="degree must be >= 0"):
             MomentFunctional(1, -1, {})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_rejected(self, bad):
+        # the Hankel and power checks would otherwise see NaN or inf entries
+        with pytest.raises(ValueError, match="finite"):
+            MomentFunctional(2, 2, {s: (bad if s == (1, 1) else 1.0)
+                                    for s in monomials_upto(2, 2)})
+
     def test_json_round_trip(self):
         L = uniform_box_moments([(-1, 1), (0, 2)], 3)
         back = MomentFunctional.from_json_dict(L.to_json_dict())
@@ -720,10 +727,10 @@ class TestFlatRung:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_moments_reach_nnls_check(self, bad):
-        # eigh raises LinAlgError on a NaN matrix; the rung steps aside
-        L = MomentFunctional(1, 2, {(0,): 1.0, (1,): bad, (2,): 1.0})
+        # the functional itself refuses them, so no rung ever sees one
         with pytest.raises(ValueError, match="finite"):
-            measure_recover(L, UNIT)
+            measure_recover(MomentFunctional(1, 2, {(0,): 1.0, (1,): bad, (2,): 1.0}),
+                            UNIT)
 
     def test_huge_total_mass_matches_nnls(self, monkeypatch):
         L = MomentFunctional(1, 2, {(0,): 1e308, (1,): 0.0, (2,): 0.0})
