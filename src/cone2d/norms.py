@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .poly import Polynomial, _wire_entries, _wire_int, _wire_real
+from .poly import EVAL_LOOP_TERMS, Polynomial, _wire_entries, _wire_int, _wire_real
 
 # Boundary points of semialgebraic regions are kept down to this slack.
 INEQ_TOL = -1e-12
@@ -257,9 +257,24 @@ def sup_norm(f: Polynomial, region: Region) -> SupNormResult:
 
 
 def phi_norm(f: Polynomial, phi: WeightFunction) -> float:
-    """Weighted l1 norm: sum over stored terms of |f_s| * w(s)."""
+    """Weighted l1 norm: sum over stored terms of |f_s| * w(s), in term order.  Above
+    EVAL_LOOP_TERMS terms a one, geometric or lasserre w comes from r**e or degree tables
+    and a sequential cumsum adds, as the loop does; table weights and overflow loop too."""
     if f.n != phi.n:
         raise ValueError(f"variable count mismatch: poly {f.n}, weight {phi.n}")
+    if len(f.terms) > EVAL_LOOP_TERMS and phi.kind != "table":
+        exps, coeffs, tops = f._eval_arrays()
+        deg, w = exps.sum(axis=1), np.ones(len(coeffs))
+        radii = phi.radii if phi.kind == "geometric" else ()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r, col, top in zip(radii, exps.T, tops):
+                    w = w * np.array([r**e for e in range(top + 1)])[col]
+                if phi.kind == "lasserre":
+                    w = np.array([float(lasserre_weight(k)) for k in range(deg.max() + 1)])[deg]
+                return float((np.abs(coeffs) * w).cumsum()[-1])
+        except OverflowError:
+            pass
     return sum(abs(float(c)) * phi(exp) for exp, c in f.terms.items())
 
 

@@ -25,6 +25,11 @@ FLOAT_ZERO_TOL = 1e-300
 # its temporary design matrix stays bounded whatever the grid size.
 GRID_BLOCK_ROWS = 2048
 
+# Kernel thresholds: all-float products of MUL_ARRAY_PAIRS term pairs or more
+# run on numpy; evaluate and phi_norm loop in Python up to EVAL_LOOP_TERMS terms.
+MUL_ARRAY_PAIRS = 64
+EVAL_LOOP_TERMS = 16
+
 # Operands that a Dyadic meets as float(self); others get NotImplemented.
 _FLOATS = (float, np.floating, np.integer)
 
@@ -196,18 +201,18 @@ def _is_zero_coeff(c) -> bool:
     return abs(c) < FLOAT_ZERO_TOL
 
 
-# Scalars that ring operations promote to a constant polynomial.
+# Scalars that ring operations accept; + and - promote them to a constant polynomial.
 _SCALARS = (int, float, Dyadic, np.integer, np.floating)
 
 
 def _as_coeff(c):
     """Normalize a scalar into a coefficient: int -> Dyadic, float stays float."""
+    if isinstance(c, np.floating):  # np.float64 is a float too
+        return float(c)
     if isinstance(c, (Dyadic, float)):
         return c
     if isinstance(c, (int, np.integer)):
         return Dyadic(int(c))
-    if isinstance(c, np.floating):
-        return float(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -314,11 +319,20 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Polynomial.constant(self.n, other)
+        if isinstance(other, _SCALARS):  # c * s per term, as a constant factor gives
+            s = _as_coeff(other)
+            terms = {} if _is_zero_coeff(s) else {e: c * s for e, c in self.terms.items()}
+            mixed = bool(terms) and any(isinstance(c, Dyadic) != isinstance(s, Dyadic)
+                                        for c in self.terms.values())
+            return Polynomial._ring_result(self.n, terms, self.demoted or mixed, ordered=True)
         self._check_dim(other)
         kinds = {isinstance(c, Dyadic) for c in (*self.terms.values(), *other.terms.values())}
         exact = False not in kinds
+        # Two kernels, one result: all-float operands of MUL_ARRAY_PAIRS pairs or more
+        # run _dense_mul; Dyadic, mixed, small and sparse products run this loop.
+        if (kinds == {False} and len(self.terms) * len(other.terms) >= MUL_ARRAY_PAIRS
+                and (product := self._dense_mul(other)) is not None):
+            return product
         # Packed key: exponent digits in base 2**bits > degree, first variable
         # most significant, minus degree * 2**(n*bits); adding keys adds the
         # exponents and descending keys are grlex order.  An all-dyadic
@@ -350,6 +364,28 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def _dense_mul(self, other):
+        """The all-float product, or None if the exponent box has more cells than pairs:
+        np.add.at adds each u*v in the loop's (i, j) order into a mixed-radix array."""
+        (ea, ca, ta), (eb, cb, tb) = self._eval_arrays(), other._eval_arrays()
+        radix = [x + y + 1 for x, y in zip(ta, tb)]
+        if math.prod(radix) > len(ca) * len(cb):
+            return None
+        ka, kb = (np.ravel_multi_index(tuple(e.T), radix) for e in (ea, eb))
+        acc, rows = np.zeros(math.prod(radix)), max(1, (1 << 18) // len(cb))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(ca), rows):
+                np.add.at(acc, (ka[i:i + rows, None] + kb).ravel(),
+                          (ca[i:i + rows, None] * cb).ravel())
+            keep = np.flatnonzero(~(np.abs(acc) < FLOAT_ZERO_TOL))  # keeps NaN
+        cols = np.unravel_index(keep, radix)
+        order = np.lexsort((-keep, sum(cols)))  # grlex: degree up, then index down
+        exps, coeffs = np.array(cols).T[order], acc[keep[order]]
+        p = Polynomial._ring_result(self.n, {}, self.demoted or other.demoted, ordered=True)
+        p.terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))  # pruned, in order
+        p._arrays = exps, coeffs, exps.max(axis=0, initial=0).tolist()
+        return p
+
     def __pow__(self, p: int):
         if p < 0:
             raise ValueError(f"polynomial power must be nonnegative, got {p}")
@@ -380,10 +416,19 @@ class Polynomial:
     def evaluate(self, x) -> float:
         """Evaluate at a real point; a ring homomorphism R -> R.
 
-        c * x1**e1 * ... * xn**en per term, summed from 0.0 in term order by the
-        sequential np.cumsum; powers are float ** int, which raise OverflowError."""
+        c * x1**e1 * ... * xn**en per term, summed from 0.0 in term order; powers
+        are float ** int, which raise OverflowError.  A loop up to EVAL_LOOP_TERMS
+        terms, numpy power tables and the sequential np.cumsum above: same bits."""
         if len(x) != self.n:
             raise ValueError(f"point has dimension {len(x)}, polynomial has {self.n}")
+        if len(self.terms) <= EVAL_LOOP_TERMS:
+            total = 0.0
+            for exp, c in self.terms.items():
+                v = float(c)
+                for xi, e in zip(x, exp):
+                    v *= float(xi) ** e
+                total += v
+            return total
         exps, vals, tops = self._eval_arrays()
         with np.errstate(over="ignore", invalid="ignore"):
             for xi, col, top in zip(x, exps.T, tops):

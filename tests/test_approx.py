@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,19 @@ class TestSeriesRoot:
         q = cert.decomposition["q"]
         target = Polynomial.constant(1, 2.0) - t
         assert phi_norm(q**2 - target, WeightFunction.one(1)) < 0.01
+
+    def test_blocked_products_bound_memory(self):
+        # q**4 at N = 20 multiplies 3321 x 3321 terms: 11M pairs in 43 row blocks
+        x, y = X(2, 0), X(2, 1)
+        a = 0.05 * x * x + 0.04 * x * y + 0.03 * y * y + 0.02 * x + 0.01 * y + 0.015
+        tracemalloc.start()
+        try:
+            cert = series_root(1.0, a, d=2, n_terms=20, phi=WeightFunction.one(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.success and cert.residuals["phi_norm_error"] < 1e-6
+        assert peak <= 64 << 20
 
     def test_divergent_argument_rejected(self):
         with pytest.raises(ValueError, match="requires"):

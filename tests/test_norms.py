@@ -1,13 +1,16 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cone2d import norms
 from cone2d.norms import (Region, WeightFunction, fatten, lasserre_threshold,
                           lasserre_weight, phi_norm, rho_alpha, sup_norm)
-from cone2d.poly import Polynomial
+from cone2d.poly import Dyadic, Polynomial
 
 
 def X(n, i):
@@ -246,6 +249,76 @@ class TestRegion:
     def test_nan_side_rejected(self):
         with pytest.raises(ValueError, match="box side"):
             Region.from_box([(0.0, float("nan"))], resolution=0.1)
+
+
+WEIGHTS = {"one": WeightFunction.one, "lasserre": WeightFunction.lasserre,
+           "geometric": lambda n: WeightFunction.geometric([0.3, 1.7, 40.0][:n]),
+           "geometric_huge": lambda n: WeightFunction.geometric([1e30] * n)}
+
+
+def norm_or_error(f, phi, threshold):
+    """phi_norm's bits, or its error text, with the loop threshold set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "EVAL_LOOP_TERMS", threshold)
+        try:
+            return struct.pack("<d", phi_norm(f, phi))
+        except ValueError as exc:
+            return str(exc)
+
+
+def phi_polys():
+    """Up to 40 terms in n = 1..3 variables, exponents up to 14, float and
+    Dyadic coefficients up to 1e300 in magnitude, inf and NaN."""
+    coeff = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.inf, math.nan]),
+                      st.builds(Dyadic, st.integers(-1000, 1000), st.integers(0, 20)))
+
+    def build(n):
+        exps = st.tuples(*[st.integers(0, 14)] * n)
+        return st.builds(Polynomial, st.just(n), st.integers(0, 40).flatmap(
+            lambda k: st.dictionaries(exps, coeff, min_size=k, max_size=40)))
+    return st.integers(1, 3).flatmap(build)
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@settings(max_examples=60, deadline=None)
+@given(phi_polys())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_norm_both_sides_bit_identical(kind, f):
+    phi = WEIGHTS[kind](f.n)
+    assert norm_or_error(f, phi, 0) == norm_or_error(f, phi, math.inf)
+
+
+def test_phi_norm_adds_in_term_order():
+    # 1 + 1e-16 rounds back to 1 at each step of the loop; a pairwise sum does not
+    f = Polynomial(1, {(k,): 1e-16 if k else 1.0 for k in range(40)})
+    assert norm_or_error(f, WeightFunction.one(1), 0) == struct.pack("<d", 1.0)
+
+
+@pytest.mark.parametrize("f, phi", [
+    (Polynomial(1, {(k,): 1.0 for k in range(160, 200)}), WeightFunction.lasserre(1)),
+    (Polynomial(2, {(k, 1): 0.5 for k in range(20)}), WeightFunction.geometric([1e30, 2.0])),
+])
+def test_phi_norm_overflow_error_on_both_sides(f, phi):
+    loop = norm_or_error(f, phi, math.inf)
+    assert "exceeds the float range" in loop
+    assert norm_or_error(f, phi, 0) == loop
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_norm_weight_product_overflows_silently():
+    # every r**e is finite, but 1e100**5 is not
+    f = Polynomial(5, {e: 0.5 for e in itertools.product((0, 1), repeat=5)})
+    phi = WeightFunction.geometric([1e100] * 5)
+    assert norm_or_error(f, phi, 0) == norm_or_error(f, phi, math.inf) == \
+        struct.pack("<d", math.inf)
+
+
+def test_phi_norm_table_weight_stays_on_loop(monkeypatch):
+    f = Polynomial(1, {(k,): 0.5 for k in range(20)})
+    phi = WeightFunction(1, "table", table={(k,): 1.0 + k for k in range(20)})
+    monkeypatch.setattr(norms, "EVAL_LOOP_TERMS", 0)
+    assert phi_norm(f, phi) == sum(0.5 * (1.0 + k) for k in range(20))
+    assert f._arrays is None
 
 
 def small_polys(n):

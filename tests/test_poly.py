@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cone2d import poly
 from cone2d.poly import (GRID_BLOCK_ROWS, Dyadic, Polynomial, design_matrix,
                          dyadic_round, evaluate, nearest_dyadic)
 
@@ -418,6 +419,166 @@ def test_ring_operations_bit_identical_to_reference(case):
         assert_identical(got, want)
         for point in (x, y, x):
             assert_evaluates_like_reference(got, point)
+
+
+def nan_blind(c):
+    """exact_form with every NaN alike.  Which of two NaNs a sum keeps is not
+    fixed even by the loop: CPython's float_add and its specialized float
+    BINARY_OP keep different operands, so the sign of NaN + NaN changes once
+    the adaptive interpreter has specialized the addition."""
+    return (type(c), "nan") if isinstance(c, float) and math.isnan(c) else exact_form(c)
+
+
+def assert_identical_but_nan_sign(got, want):
+    assert list(got.terms) == list(want.terms) and got.demoted == want.demoted
+    assert [nan_blind(c) for c in got.terms.values()] == \
+        [nan_blind(c) for c in want.terms.values()]
+
+
+def dense_calls(mp):
+    """The results of Polynomial._dense_mul so far: None where it declined."""
+    calls = []
+    dense = Polynomial._dense_mul
+    mp.setattr(Polynomial, "_dense_mul", lambda p, q: calls.append(dense(p, q)) or calls[-1])
+    return calls
+
+
+def float_operands():
+    """Two all-float n-variable polynomials (n = 1..4) of up to 40 terms,
+    coefficients of magnitude 1e-300 to 1e300 or inf or NaN, so products
+    overflow and sums of infinities give NaN."""
+    finite = st.builds(lambda s, m, e: s * m * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                       st.floats(1, 10), st.integers(-300, 299))
+    coeff = st.one_of(finite, finite, finite, st.sampled_from([math.inf, -math.inf, math.nan]))
+
+    def build(n):
+        exps = st.tuples(*[st.integers(0, {1: 39, 2: 6, 3: 3, 4: 2}[n])] * n)
+        poly = st.builds(Polynomial, st.just(n), st.integers(0, 40).flatmap(
+            lambda k: st.dictionaries(exps, coeff, min_size=k, max_size=40)), st.booleans())
+        return st.tuples(poly, poly)
+    return st.integers(1, 4).flatmap(build)
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf])
+@settings(max_examples=150, deadline=None)
+@given(float_operands())
+@example((X(1, 0) * 1e300 + 1e300, X(1, 0) * 1e300 - 1e300))  # inf - inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float_product_kernels_bit_identical(threshold, case):
+    p, q = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "MUL_ARRAY_PAIRS", threshold)
+        calls = dense_calls(mp)
+        got = p * q
+    assert_identical_but_nan_sign(got, reference_mul(p, q))
+    span = math.prod(1 + max(e[i] for e in p.terms) + max(e[i] for e in q.terms)
+                     for i in range(p.n)) if p.terms and q.terms else math.inf
+    dense = threshold == 0 and span <= len(p.terms) * len(q.terms)
+    assert [c is not None for c in calls] == ([True] if dense else [False] * bool(calls))
+    if dense:  # the arrays stored with the product are the ones evaluate builds
+        exps, coeffs, tops = got._arrays
+        got._arrays = None
+        want = got._eval_arrays()
+        assert exps.tolist() == want[0].tolist() and tops == want[2]
+        assert coeffs.tobytes() == want[1].tobytes()
+
+
+def test_product_past_one_block_bit_identical():
+    # 1-D, 601 x 501 terms: 301101 pairs, more than one row block
+    p = Polynomial(1, {(i,): math.sin(i) * 1e150 for i in range(601)})
+    q = Polynomial(1, {(i,): math.cos(i) * 1e-160 for i in range(501)})
+    assert_identical(p * q, reference_mul(p, q))
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf])
+def test_sparse_wide_span_stays_on_loop(monkeypatch, threshold):
+    # 3 variables, exponents up to 30: the box has 61**3 cells for 4 x 3 pairs
+    p = Polynomial(3, {(30, 0, 0): 0.5, (0, 30, 0): -1.5, (0, 0, 30): 2.25, (1, 2, 3): 3.0})
+    q = Polynomial(3, {(0, 0, 0): 1.1, (30, 30, 30): -0.3, (7, 0, 1): 1e-7})
+    monkeypatch.setattr(poly, "MUL_ARRAY_PAIRS", threshold)
+    calls = dense_calls(monkeypatch)
+    assert_identical(p * q, reference_mul(p, q))
+    assert calls == ([None] if threshold == 0 else [])
+
+
+def test_dense_products_over_threshold_by_default(monkeypatch):
+    x, y = X(2, 0), X(2, 1)
+    small, big = 0.5 * x + 0.25 * y + 0.125, (0.3 * x - 0.7 * y + 0.1) ** 2
+    square = big * big
+    ones = Polynomial(2, {e: Dyadic(1) for e in square.terms})
+    assert len(big.terms) ** 2 < poly.MUL_ARRAY_PAIRS <= len(square.terms) ** 2
+    calls = dense_calls(monkeypatch)
+    small * big, big * big, square * ones  # small, small, mixed
+    assert calls == []
+    square * square
+    assert len(calls) == 1 and calls[0] is not None
+
+
+SCALARS = [-0.0, 0.0, 1e-310, math.nan, math.inf, -math.inf, Dyadic(0), Dyadic(3, 2),
+           np.int64(-4), np.float64(2.0), np.float32(0.5), 0, 5, True, 0.7, 1e300]
+
+
+@pytest.mark.parametrize("s", SCALARS, ids=repr)
+@pytest.mark.parametrize("p", [
+    Polynomial(2, {(0, 0): 1.5, (1, 0): -1e300, (0, 2): math.inf}),
+    Polynomial(2, {(0, 0): Dyadic(3), (2, 1): Dyadic(-5, 7)}),
+    Polynomial(2, {(0, 0): Dyadic(3), (1, 1): 0.25}, demoted=True),
+    Polynomial(2, {(1, 0): 0.5}, demoted=True),
+    Polynomial.zero(2),
+], ids=["float", "dyadic", "mixed", "demoted", "zero"])
+def test_scalar_product_matches_constant_product(p, s):
+    want = reference_mul(p, Polynomial(2, {(0, 0): s}))
+    for got in (p * s, s * p):
+        assert_identical(got, want)
+    assert_identical(p - s, reference_add(p, Polynomial(2, {(0, 0): -s})))
+
+
+def test_zero_scalar_keeps_demoted_flag():
+    p = Polynomial(1, {(1,): Dyadic(1), (0,): 0.5}, demoted=True)
+    for s in (0, -0.0, 1e-310, Dyadic(0)):
+        assert (p * s).terms == {} and (p * s).demoted is True
+        assert (X(1, 0) * s).demoted is False
+
+
+def test_numpy_float_coefficients_stored_as_floats():
+    p = Polynomial(1, {(0,): np.float64(2.5), (1,): 1.5})
+    assert type(p.terms[(0,)]) is float
+    for q in (p * np.float64(2.0), np.float64(2.0) * p, p + np.float64(1.0),
+              Polynomial.constant(1, np.float64(3.0)), Polynomial(1, {(2,): np.float32(0.5)})):
+        assert all(type(c) is float for c in q.terms.values())
+
+
+def eval_cases():
+    """A polynomial of up to 40 terms (n = 1..3) and a point whose powers may
+    overflow."""
+    def build(n):
+        exps = st.tuples(*[st.integers(0, 9)] * n)
+        coeff = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.nan, math.inf]))
+        coord = st.one_of(st.floats(-3, 3), st.floats(-1e40, 1e40), st.just(-0.0))
+        return st.tuples(st.builds(Polynomial, st.just(n),
+                                   st.dictionaries(exps, coeff, max_size=40)),
+                         st.tuples(*[coord] * n))
+    return st.integers(1, 3).flatmap(build)
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf])
+@settings(max_examples=150, deadline=None)
+@given(eval_cases())
+@example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_both_sides_bit_identical(threshold, case):
+    p, x = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "EVAL_LOOP_TERMS", threshold)
+        try:
+            want = nan_blind(reference_evaluate(p, x))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                p.evaluate(x)
+            return
+        assert nan_blind(p.evaluate(x)) == want
+        if threshold == 0 and p.terms:
+            assert p._arrays is not None
 
 
 @settings(max_examples=40, deadline=None)
