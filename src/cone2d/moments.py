@@ -23,6 +23,7 @@ from .spectrum import monomials_upto
 MAX_RECOMMENDED_DEGREE = 12
 # Moment-matrix eigenvalues within this fraction of the largest count as zero.
 FLAT_RANK_TOL = 1e-9
+GOLDEN = (math.sqrt(5) - 1) / 2
 # scipy >= 1.15 wraps the QR updates in a functools.wraps batch dispatch whose 2-D
 # branch is `return f(*arrays, *other_args, **kwargs)` (_apply_over_batch): call f.
 _qr_insert = getattr(qr_insert, "__wrapped__", qr_insert)
@@ -277,7 +278,7 @@ class NNLSResult(NamedTuple):
 
 
 def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
-         max_iter: int | None = None) -> NNLSResult:
+         max_iter: int | None = None, *, start=None) -> NNLSResult:
     """Lawson-Hanson active-set solution of min ||Ax - b|| s.t. x >= 0.
 
     The passive set is the prefix passive[:k] of an index array, in entry
@@ -287,6 +288,9 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     <= eps * m * ||a_j|| depends numerically on the passive ones and is not
     admitted for that outer pass.  On convergence the KKT conditions hold:
     the gradient is >= -tol where x = 0 and within tol on the passive set.
+    ``start`` (distinct column indices) is a working set of entering columns;
+    when none can enter, the m columns of largest gradient above tol join it,
+    keeping Q R, the passive set and x, and where there are none LH stops.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     m, ncols = a.shape
@@ -294,9 +298,18 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
         raise ValueError(f"shape mismatch: A is {a.shape}, b is {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")  # the updates skip this check
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     max_iter = 3 * ncols if max_iter is None else max_iter
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    cand = np.arange(ncols) if start is None else np.asarray(start)
+    if start is not None and not (cand.ndim == 1 and cand.size and cand.dtype.kind in "iu"
+                                  and len(np.unique(cand)) == cand.size
+                                  and 0 <= cand.min() and cand.max() < ncols):
+        raise ValueError("start must be distinct column indices in [0, ncols), at least one")
 
-    at, x, kmax = np.ascontiguousarray(a.T), np.zeros(ncols), min(m, ncols)
+    at, x, kmax = a.T[cand], np.zeros(len(cand)), min(m, ncols)  # at: C-contiguous
     passive, k = np.empty(kmax, dtype=np.intp), 0
     q, r = np.eye(m), np.empty((m, 0))
     eps_m, tiny = np.finfo(float).eps * m, np.finfo(float).tiny
@@ -312,6 +325,13 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                 break
             r, w[j] = r[:, :k], -np.inf  # Q still factors the first k
         else:
+            if k < kmax and len(cand) < ncols:  # the KKT test on every column
+                g = resid @ a
+                g[cand] = -np.inf
+                if (new := (g > tol).nonzero()[0]).size:
+                    new = new[np.argsort(g[new])[-m:]]
+                    cand, at, x = np.r_[cand, new], np.r_[at, a.T[new]], np.r_[x, 0.0 * new]
+                    continue
             converged = True
             break
         passive[k], k = j, k + 1
@@ -334,7 +354,9 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                 passive[i:k - 1], k = passive[i + 1:k], k - 1
         resid = b - x[passive[:k]] @ at[passive[:k]]
         trace.append(math.sqrt(resid.dot(resid)))  # = norm(resid)
-    return NNLSResult(x, trace[-1], converged, iterations, tuple(trace))
+    full = np.zeros(ncols)
+    full[cand] = x
+    return NNLSResult(full, trace[-1], converged, iterations, tuple(trace))
 
 
 @dataclass
@@ -398,7 +420,7 @@ def _flat_support(functional: MomentFunctional, samples: np.ndarray,
     mult = [pinv @ v[[row[s[:i] + (s[i] + 1,) + s[i + 1:]] for s in monos[:low]]]
             for i in range(n)]
     # Golden-ratio weights: no two lattice atoms share the combination.
-    mix = sum(m * ((math.sqrt(5) - 1) / 2) ** i for i, m in enumerate(mult))
+    mix = sum(m * GOLDEN**i for i, m in enumerate(mult))
     q = np.linalg.eigh(mix + mix.T)[1]
     points = np.column_stack([np.einsum("ij,ik,kj->j", q, m, q) for m in mult])
     idx = {int(np.argmin(((samples - p) ** 2).sum(axis=1))) for p in points}
@@ -414,7 +436,10 @@ def measure_recover(functional: MomentFunctional, region: Region,
     kept when every weight is > 0, the residual is <= tol and the gradient
     a^T (b - a x) on every sample is within the NNLS tolerance below, where
     NNLS itself stops.  Every other input, and every flat one that misses a
-    check, goes to nonnegative least squares over all samples, unchanged.
+    check, goes to nonnegative least squares, started on a working set of 3m
+    of the N samples (m moments) where (N - 3m) m >= 2**15.  It stops on the
+    KKT test over all samples, so only which fitting measure it returns can
+    differ from a run over all of them.
     """
     if functional.n != region.n:
         raise ValueError(f"variable count mismatch: {functional.n} vs {region.n}")
@@ -448,7 +473,12 @@ def measure_recover(functional: MomentFunctional, region: Region,
         if x.min() > 0 and residual <= tol and (resid @ a).max() <= kkt_tol:
             return RecoveryResult(AtomicMeasure.of(atoms[support], x), residual,
                                   len(x), True, True, tol)
-    result = nnls(a, b, tol=kkt_tol)
+    # Golden-ratio steps through the sample order leave gaps of two or three
+    # lengths, so on a grid the set does not fall on a few lines, as strides do.
+    # Below 2**15 multiply-adds saved per gradient the growth rounds cost more.
+    start = (np.unique((np.arange(3 * len(monos)) * GOLDEN % 1 * len(atoms)).astype(np.intp))
+             if a.size - 3 * len(monos) ** 2 >= 2**15 else None)  # (N - 3m) m saved
+    result = nnls(a, b, tol=kkt_tol, start=start)
     keep = result.x > 0
     measure = AtomicMeasure.of(atoms[keep], result.x[keep])
     return RecoveryResult(measure, result.residual_norm,

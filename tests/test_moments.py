@@ -575,6 +575,110 @@ class TestNnlsColumns:
                 nnls(*args)
 
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": float("nan")}, "tol must be >= 0"),
+        ({"tol": -1e-3}, "tol must be >= 0"),
+        ({"max_iter": 2.5}, "max_iter must be an integer >= 0"),
+        ({"max_iter": -1}, "max_iter must be an integer >= 0"),
+        ({"start": [2]}, "start must be"),
+        ({"start": [-1]}, "start must be"),
+        ({"start": [1, 1]}, "start must be"),
+        ({"start": []}, "start must be"),
+        ({"start": [0.0]}, "start must be"),
+        ({"start": [[0]]}, "start must be"),
+    ], ids=["nan-tol", "negative-tol", "fractional-max-iter", "negative-max-iter",
+            "start-past-end", "start-negative", "start-repeated", "start-empty",
+            "start-float", "start-2d"])
+    def test_bad_parameters_rejected(self, kwargs, match):
+        # a NaN tol used to return x = 0 with converged=True
+        with pytest.raises(ValueError, match=match):
+            nnls(np.eye(2), np.array([1.0, 2.0]), **kwargs)
+
+
+SQUARE_SAMPLES = Region.from_box([(0.0, 1.0), (0.0, 1.0)], resolution=0.025).sample_points
+SIGNED_ATOMS = [(*SQUARE_SAMPLES[i], w) for i, w in ((200, 0.6), (900, 0.4), (1300, -0.5))]
+WORKING_SET_SYSTEMS = {  # name: (moments of x^a y^b, degree)
+    "uniform-square": (lambda a, b: 1 / ((a + 1) * (b + 1)), 10),
+    "three-atoms": (lambda a, b: sum(w * x**a * y**b for x, y, w in THREE_ATOMS), 8),
+    "signed": (lambda a, b: sum(w * x**a * y**b for x, y, w in SIGNED_ATOMS), 8),
+}
+_full_runs = {}
+
+
+def working_set_case(name):
+    """The system, its tolerance and the run over every column."""
+    if name not in _full_runs:
+        a, b, tol = square_grid_system(*WORKING_SET_SYSTEMS[name])
+        _full_runs[name] = a, b, tol, nnls(a, b, tol=tol)
+    return _full_runs[name]
+
+
+def assert_same_verdict_on_every_column(a, b, tol, r, full):
+    """converged, the gradient test on every column and the residual
+    verdict of a working-set run, against the run over all columns."""
+    assert r.converged and full.converged
+    assert_kkt(a, b, r, tol)
+    assert (r.residual_norm <= 1e-6) == (full.residual_norm <= 1e-6)
+
+
+class TestNnlsWorkingSet:
+    @pytest.mark.parametrize("name", WORKING_SET_SYSTEMS)
+    def test_all_columns_is_the_default(self, name):
+        a, b, tol, full = working_set_case(name)
+        assert_same_result(nnls(a, b, tol=tol, start=np.arange(a.shape[1])), full)
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(sorted(WORKING_SET_SYSTEMS)),
+           start=st.lists(st.integers(0, 1680), min_size=1, max_size=400, unique=True))
+    def test_random_start_reaches_the_same_verdict(self, name, start):
+        a, b, tol, full = working_set_case(name)
+        assert_same_verdict_on_every_column(a, b, tol, nnls(a, b, tol=tol, start=start), full)
+
+    @pytest.mark.parametrize("name", WORKING_SET_SYSTEMS)
+    @pytest.mark.parametrize("start", [
+        range(41),  # the grid line x = 0
+        [1680],  # the corner (1, 1), away from every atom
+    ], ids=["one-grid-row", "far-column"])
+    def test_degenerate_start_grows(self, name, start):
+        a, b, tol, full = working_set_case(name)
+        r = nnls(a, b, tol=tol, start=list(start))
+        assert_same_verdict_on_every_column(a, b, tol, r, full)
+        assert np.delete(r.x, list(start)).any()  # reached only through growth
+
+    def test_growth_admits_the_largest_violators(self):
+        # column 0 cannot enter; of the violators 1, 2 and 3 the m = 2
+        # largest join, so column 3 enters, as it does first over every column
+        a, b = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0]]), np.array([1.0, 0.0])
+        r = nnls(a, b, start=[0])
+        assert_same_result(r, nnls(a, b))
+        assert r.x[3] > 0 and r.converged
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dependent_columns_join_once(self, seed):
+        # TestNnlsColumns' duplicate columns, started on the independent
+        # three, with b off their span: at tol = 0 the copies' rounding-level
+        # gradient makes them violators for seeds 3, 5-7, 9 and 10; they join,
+        # fail the column test like candidates and are never violators
+        # again, so LH stops after the same three steps as over every column
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.5, 1.5, size=(6, 3))
+        a = np.hstack([c, c, c[:, :1]])
+        b = c @ np.array([1.0, 2.0, 0.5]) + 1e-3 * rng.standard_normal(6)
+        r, full = nnls(a, b, tol=0.0, start=[0, 1, 2]), nnls(a, b, tol=0.0)
+        assert r.converged and r.iterations == full.iterations == 3
+        assert np.allclose(r.x, full.x, rtol=1e-12, atol=0)
+
+    def test_max_iter_counts_growth_passes(self):
+        # a growth pass is an outer pass of its own, so max_iter = 1 stops
+        # after it, before any column of the grown set enters
+        a, b = np.eye(3), np.array([0.0, 0.0, 1.0])
+        r = nnls(a, b, start=[0], max_iter=1)
+        assert not r.converged and not r.x.any()
+        assert r.objective_trace == (1.0,)
+        r = nnls(a, b, start=[0])
+        assert r.converged and np.array_equal(r.x, b)
+
+
 def recorded_miss():
     data = json.loads((Path(__file__).parent / "data"
                        / "recover_miss_moments.json").read_text())
@@ -739,6 +843,58 @@ class TestFlatRung:
             warnings.simplefilter("error", RuntimeWarning)
             rec = measure_recover(L, k)
         assert repr(rec) == repr(plain_nnls_recover(L, k, monkeypatch))
+
+
+class TestRecoveryWorkingSet:
+    @pytest.mark.parametrize("functional, region, uses_start", [
+        # (N - 3m) m = (101 - 27) 9 < 2**15: every sample from the start
+        (uniform_box_moments([(-1, 1)], 8), Region.from_box([(-1, 1)], resolution=0.02),
+         False),
+        (uniform_box_moments([(0, 1), (0, 1)], 10), SQUARE, True),
+        (uniform_box_moments([(0, 1)] * 3, 6), Region.from_box([(0, 1)] * 3, resolution=0.1),
+         True),
+        (signed_moments(SQUARE.sample_points[[200, 900, 1300]], [0.6, 0.4, -0.5], 8),
+         SQUARE, True),
+    ], ids=["uniform-1d", "uniform-2d", "uniform-3d", "signed-2d"])
+    def test_verdicts_match_a_run_over_every_sample(self, functional, region, uses_start,
+                                                    monkeypatch):
+        starts = []
+
+        def recorded(*args, start=None, **kwargs):
+            starts.append(start)
+            return nnls(*args, start=start, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "nnls", recorded)
+            rec = measure_recover(functional, region)
+        assert len(starts) == 1 and (starts[0] is not None) == uses_start
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "nnls",
+                          lambda *args, start=None, **kwargs: nnls(*args, **kwargs))
+            full = measure_recover(functional, region)
+        assert (rec.success, rec.converged) == (full.success, full.converged)
+        assert rec.verify(functional)
+        samples = {tuple(p) for p in region.sample_points.tolist()}
+        assert all(atom in samples for atom in rec.measure.atoms)
+        assert all(w > 0 for w in rec.measure.weights)
+
+    @pytest.mark.parametrize("degree", [6, 8, 10])
+    def test_start_is_spread_over_the_grid(self, degree, monkeypatch):
+        # 3m distinct samples of the 41 x 41 grid that no family of parallel
+        # lines p row + q col = const, |p|, |q| <= 3, covers with fewer than
+        # 30 lines.  Evenly spaced indices (np.linspace) fit on 9 lines at
+        # D = 6, a stride of 1681 // 3m on 5 to 13.
+        starts = []
+        monkeypatch.setattr(moments, "nnls",
+                            lambda *args, start=None, **kwargs: starts.append(start)
+                            or nnls(*args, start=start, **kwargs))
+        measure_recover(uniform_box_moments([(0, 1), (0, 1)], degree), SQUARE)
+        (start,) = starts
+        assert len(start) == 3 * len(monomials_upto(2, degree)) == len(set(start.tolist()))
+        rows, cols = np.divmod(start, 41)
+        for p, q in itertools.product(range(4), range(-3, 4)):
+            if (p, q) > (0, 0):
+                assert len(set((p * rows + q * cols).tolist())) >= 30, (p, q)
 
 
 @settings(max_examples=30, deadline=None)

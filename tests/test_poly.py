@@ -383,7 +383,10 @@ def assert_evaluates_like_reference(p, x):
         with pytest.raises(OverflowError):
             p.evaluate(x)
         return
-    assert struct.pack("<d", p.evaluate(x)) == struct.pack("<d", want)
+    got = p.evaluate(x)
+    # NaN without its sign, for the reason nan_blind gives; every other value bit for bit
+    assert math.isnan(got) and math.isnan(want) or \
+        struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def ring_operands():
@@ -416,7 +419,7 @@ def test_ring_operations_bit_identical_to_reference(case):
         pairs = [(p * q, reference_mul(p, q)), (q * p, reference_mul(q, p)),
                  (p + q, reference_add(p, q)), (q + p, reference_add(q, p))]
     for got, want in pairs:
-        assert_identical(got, want)
+        assert_identical_but_nan_sign(got, want)
         for point in (x, y, x):
             assert_evaluates_like_reference(got, point)
 
