@@ -468,6 +468,8 @@ def series_root(r: float, a: Polynomial, d: int, n_terms: int,
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if n_terms < 0:
         raise ValueError(f"series length must be >= 0, got {n_terms}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
     norm_a = phi_norm(a, phi)
     if norm_a > r:
         raise ValueError(f"series requires ||a||_phi < r: {norm_a} > {r}")

@@ -70,6 +70,8 @@ class MomentFunctional:
     moments: dict = field(compare=False)  # exponent tuple -> L(X^s)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"variable count must be >= 1, got {self.n}")
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
         needed = monomials_upto(self.n, self.degree)

@@ -43,6 +43,8 @@ class WeightFunction:
                  is_absolute_value=None):
         if kind not in ("one", "geometric", "lasserre", "table"):
             raise ValueError(f"unknown weight kind {kind!r}")
+        if n < 1:
+            raise ValueError(f"variable count must be >= 1, got {n}")
         self.n = n
         self.kind = kind
         self.radii = tuple(float(r) for r in radii) if radii is not None else None
@@ -161,6 +163,8 @@ class Region:
     def from_box(cls, box, ineqs=(), resolution=None) -> "Region":
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         n = len(box)
+        if n < 1:
+            raise ValueError(f"variable count must be >= 1, got {n}")
         for lo, hi in box:
             if not lo <= hi:
                 raise ValueError(f"empty box side [{lo}, {hi}]")

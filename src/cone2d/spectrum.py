@@ -114,9 +114,11 @@ def vanishing_ideal_basis(points, degree: int, tol: float = DEFAULT_RANK_TOL
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty point list")
+    n = pts.shape[1]
+    if n < 1:
+        raise ValueError(f"variable count must be >= 1, got {n}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    n = pts.shape[1]
     monos = monomials_upto(n, degree)
     a = design_matrix(pts, monos)
     scale = np.max(np.abs(a), axis=0)

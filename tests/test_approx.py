@@ -297,6 +297,12 @@ class TestSeriesRoot:
             series_root(1.0, 2 * X(1, 0), d=1, n_terms=3,
                         phi=WeightFunction.one(1))
 
+    @pytest.mark.parametrize("r, a", [(math.nan, 0.5), (math.inf, 0.5), (0.0, 0.0),
+                                      (-1.0, 0.0)])
+    def test_r_must_be_positive_and_finite(self, r, a):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            series_root(r, a * X(1, 0), d=1, n_terms=3, phi=WeightFunction.one(1))
+
     def test_boundary_norm_gives_infinite_tail(self):
         cert = series_root(1.0, X(1, 0), d=1, n_terms=2,
                            phi=WeightFunction.one(1))

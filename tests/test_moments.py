@@ -119,6 +119,10 @@ def _reference_power_check(functional: MomentFunctional, d: int, trials: int = 5
 
 
 class TestFunctionals:
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be >= 1"):
+            MomentFunctional(0, 2, {(): 1.0})
+
     def test_dirac_at_origin(self):
         mu = AtomicMeasure.of([(0.0,)], [1.0])
         L = from_measure(mu, 4)
@@ -188,7 +192,7 @@ def _reference_moment_matrix(functional: MomentFunctional, monos: list) -> np.nd
 
 
 class TestMomentMatrix:
-    @pytest.mark.parametrize("n, half", [(0, 2), (1, 5), (2, 3), (2, 6), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("n, half", [(1, 5), (2, 3), (2, 6), (3, 2), (4, 3)])
     def test_matches_reference(self, n, half):
         rng = np.random.default_rng([n, half])
         monos = monomials_upto(n, 2 * half)
@@ -895,6 +899,28 @@ class TestRecoveryWorkingSet:
         for p, q in itertools.product(range(4), range(-3, 4)):
             if (p, q) > (0, 0):
                 assert len(set((p * rows + q * cols).tolist())) >= 30, (p, q)
+
+
+@pytest.fixture(scope="module")
+def wide_box_recovery():
+    L = uniform_box_moments([(0, 2), (0, 1)], 10)
+    return L, measure_recover(L, Region.from_box([(0, 2), (0, 1)], resolution=0.025))
+
+
+class TestWideBoxBreakdown:
+    """Uniform moments of [0, 2] x [0, 1] at resolution 0.025, D = 10: NNLS
+    reaches its iteration cap without meeting the KKT test, while the
+    residual still verifies."""
+
+    def test_success_verifies(self, wide_box_recovery):
+        L, rec = wide_box_recovery
+        assert rec.success and rec.verify(L)
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: nnls cycles without "
+                       "converging on uniform moments of [0, 2] x [0, 1] at resolution "
+                       "0.025, D = 10")
+    def test_converged(self, wide_box_recovery):
+        assert wide_box_recovery[1].converged
 
 
 @settings(max_examples=30, deadline=None)

@@ -223,6 +223,14 @@ class TestLasserreThreshold:
         assert not t.found
 
 
+@pytest.mark.parametrize("build", [lambda: Region.from_box([]), lambda: WeightFunction.one(0),
+                                   lambda: WeightFunction.geometric([])],
+                         ids=["region", "weight-one", "weight-geometric"])
+def test_no_variables_rejected(build):
+    with pytest.raises(ValueError, match="variable count must be >= 1"):
+        build()
+
+
 class TestRegion:
     def test_ineq_filters_samples(self):
         # keep x >= 0 inside [-1,1]

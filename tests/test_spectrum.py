@@ -95,6 +95,10 @@ class TestKphiBox:
 
 
 class TestVanishingIdeal:
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be >= 1"):
+            vanishing_ideal_basis([[]], degree=2)
+
     def test_collinear_points(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (-2.0, 0.0)]
         vb = vanishing_ideal_basis(pts, degree=1)
