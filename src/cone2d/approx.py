@@ -15,9 +15,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .norms import Region, WeightFunction, _dilations, phi_norm, sup_norm
+from .norms import Region, WeightFunction, _dilations, _kdtree, _memoized, phi_norm, sup_norm
 from .poly import Dyadic, Polynomial, design_matrix, nearest_dyadic
 from .spectrum import monomials_upto
 
@@ -188,26 +187,29 @@ def _chebyshev_powers(top: int, lo: float, hi: float) -> np.ndarray:
     return rows
 
 
-def _to_monomials(coeffs, monos, box) -> np.ndarray:
+def _to_monomials(coeffs, monos, box, powers=_chebyshev_powers) -> np.ndarray:
     """Monomial coefficients, in monos order, of the polynomial whose
     coefficients in the basis of design_matrix(., monos, box) are coeffs:
-    one per-variable change of basis along each axis of a dense tensor."""
+    one per-variable change of basis along each axis of a dense tensor,
+    by the rows powers(top, lo, hi) of _chebyshev_powers."""
     top = max(max(exp) for exp in monos)
     idx = tuple(np.array(monos, dtype=np.intp).T)
     tensor = np.zeros((top + 1,) * len(box))
     tensor[idx] = coeffs
     for axis, (lo, hi) in enumerate(box):
         if hi != lo:
-            tensor = np.moveaxis(np.tensordot(_chebyshev_powers(top, lo, hi), tensor,
+            tensor = np.moveaxis(np.tensordot(powers(top, lo, hi), tensor,
                                               axes=(0, axis)), 0, axis)
     return tensor[idx]
 
 
-def _monomial_form(coeffs, monos, box, eps):
-    """Monomial coefficients of the Chebyshev-basis coeffs (_to_monomials),
-    or None when their rounding on the box exceeds MONOMIAL_ROUNDING * eps."""
-    coeffs = _to_monomials(coeffs, monos, box)
-    corner = [max(abs(lo), abs(hi)) for lo, hi in box]
+def _monomial_form(coeffs, monos, region, eps):
+    """Monomial coefficients of the Chebyshev-basis coeffs (_to_monomials,
+    with the region's memoized power rows), or None when their rounding on
+    the box exceeds MONOMIAL_ROUNDING * eps."""
+    coeffs = _to_monomials(coeffs, monos, region.box, lambda *side: _memoized(
+        region, ("powers",) + side, lambda: _chebyshev_powers(*side)))
+    corner = [max(abs(lo), abs(hi)) for lo, hi in region.box]
     size = np.abs(coeffs) @ design_matrix([corner], monos)[0]
     return coeffs if np.finfo(float).eps * size <= MONOMIAL_ROUNDING * eps else None
 
@@ -441,7 +443,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
 
     target = (fvals + eps / 2) ** (1.0 / (2 * d))
     monos = monomials_upto(f.n, max_fit_degree)
-    coeffs, _, rank = _fit((), (), samples, target, monos, region.box, eps)
+    coeffs, _, rank = _fit((), (), region, target, monos, eps)
     message = (f"fit matrix rank-deficient: rank {rank} of {len(monos)} columns"
                if rank < len(monos) else "")
     b = Polynomial(f.n, {exp: float(ci) for exp, ci in zip(monos, coeffs)})
@@ -535,22 +537,23 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
                     lambda res: max(res["per_point"]) < 1e-9)
 
 
-def _fit(anchors, rhs, samples, target, monos, box, eps):
+def _fit(anchors, rhs, region, target, monos, eps):
     """(monomial coefficients x, feasibility |C x0 - rhs|, rank) of the
-    least-squares fit of target on the samples subject to C x = rhs at the
-    anchors, by the null-space method (Golub & Van Loan, Matrix
+    least-squares fit of target on the region's samples subject to C x = rhs
+    at the anchors, by the null-space method (Golub & Van Loan, Matrix
     Computations, 6.2): one SVD of C gives the minimum-norm x0 and a basis
     Z of its null space, and x = x0 + Z y with y the least-squares fit of
     target - A x0 by A Z.  With no anchors, x0 = 0 and Z = I without an
     SVD, and A Z is A.
 
     The fit runs in the box's Chebyshev basis, y from the normal equations
-    by _gram_solve, and is kept unless those or x's monomial form fail
-    their check (GRAM_COND, MONOMIAL_ROUNDING).  Otherwise it runs again
-    in monomials, y by SVD least squares on the column-scaled A Z, and
-    rank is that solve's (Z's column count on the Chebyshev side)."""
+    by _gram_solve on the region's memoized Gram A^T A, and is kept unless
+    those or x's monomial form fail their check (GRAM_COND,
+    MONOMIAL_ROUNDING).  Otherwise it runs again in monomials, y by SVD
+    least squares on the column-scaled A Z, and rank is that solve's (Z's
+    column count on the Chebyshev side)."""
     x0, z, feas = np.zeros(len(monos)), np.eye(len(monos)), 0.0
-    for basis in (box, None):
+    for basis in (region.box, None):
         if len(anchors):
             constraints = design_matrix(anchors, monos, basis)
             u, sigma, vt = np.linalg.svd(constraints)
@@ -558,11 +561,11 @@ def _fit(anchors, rhs, samples, target, monos, box, eps):
             x0 = vt[:rank].T @ (u[:, :rank].T @ rhs / sigma[:rank])
             z = vt[rank:].T
             feas = np.linalg.norm(constraints @ x0 - rhs)
-        a = design_matrix(samples, monos, basis)
+        a = design_matrix(region.sample_points, monos, basis)
         if basis is not None:
-            gram = a.T @ a
+            gram = _memoized(region, ("gram", len(monos)), lambda: a.T @ a)
             y = _gram_solve(z.T @ gram @ z, z.T @ (a.T @ target - gram @ x0))
-            x = None if y is None else _monomial_form(x0 + z @ y, monos, box, eps)
+            x = None if y is None else _monomial_form(x0 + z @ y, monos, region, eps)
             fit_rank = z.shape[1]
         else:
             az = a @ z if len(anchors) else a
@@ -592,8 +595,7 @@ def strictness_witness(points, region: Region, eps: float,
     if pts.shape[1] != region.n:
         raise ValueError(f"point dimension {pts.shape[1]} != {region.n}")
     samples = region.sample_points
-    tree = cKDTree(pts)
-    dist, _ = tree.query(samples, k=1)
+    dist, _ = _kdtree(pts).query(samples, k=1)
     ib = int(np.argmax(dist))
     beta = tuple(samples[ib])
     if dist[ib] <= region.resolution:
@@ -610,7 +612,7 @@ def strictness_witness(points, region: Region, eps: float,
     rhs[-1] = 1.0
     bump = np.clip(dist / dist[ib], 0.0, 1.0) ** 2
     anchors = np.vstack([pts, beta])
-    x, feas, _ = _fit(anchors, rhs, samples, bump, monos, region.box, eps)
+    x, feas, _ = _fit(anchors, rhs, region, bump, monos, eps)
     a_poly = Polynomial(region.n, {exp: float(ci) for exp, ci in zip(monos, x)})
 
     cert = _checked("witness", params, {"a": a_poly, "beta": beta},

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .poly import EVAL_LOOP_TERMS, Polynomial, _wire_entries, _wire_int, _wire_real
 
@@ -150,7 +149,12 @@ def lasserre_weight(total_degree: int) -> int:
 class Region:
     """Compact region: bounding box, optional polynomial inequalities
     (region = box intersected with {g_j >= 0}), and a deterministic
-    sample grid at the stored resolution.
+    sample grid at the stored resolution.  With read-only samples (as from_box,
+    from_points and fatten make them) a Region memoizes its target-independent
+    grid work: its samples' k-d tree and, per fit degree, the Chebyshev Gram
+    matrix of the K monomials (8 K**2 bytes, 16 kB at degree 8 in 2-D) and
+    each side's Chebyshev power rows.  The memo is per object: equal Regions
+    never share it, and it takes no part in equality, hash, repr or JSON.
     """
 
     n: int
@@ -158,6 +162,7 @@ class Region:
     ineqs: tuple = ()
     resolution: float = 0.0
     sample_points: np.ndarray = field(default=None, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_box(cls, box, ineqs=(), resolution=None) -> "Region":
@@ -187,9 +192,14 @@ class Region:
     @classmethod
     def from_points(cls, points, resolution=None) -> "Region":
         """Region whose samples are exactly the given finite point set."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim and not len(pts):
             raise ValueError("empty point set")
+        pts = np.atleast_2d(pts)
+        if pts.shape[1] < 1:
+            raise ValueError(f"variable count must be >= 1, got {pts.shape[1]}")
+        if not np.isfinite(pts).all():
+            raise ValueError("coordinates must be finite")
         box = tuple((pts[:, i].min(), pts[:, i].max()) for i in range(pts.shape[1]))
         resolution = _resolution(box, resolution)
         pts = np.unique(pts, axis=0)  # distinct, in lexicographic order
@@ -212,6 +222,26 @@ class Region:
         resolution = data.get("resolution")
         return cls.from_box(box, ineqs, None if resolution is None
                             else _wire_real(resolution, "resolution"))
+
+
+def _memoized(region: Region, key, compute):
+    """compute(), made read-only and kept in region's memo under key when
+    the region's samples are read-only, so it is computed once per Region."""
+    if region.sample_points.flags.writeable:
+        return compute()
+    if key not in region._memo:
+        value = compute()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        region._memo[key] = value
+    return region._memo[key]
+
+
+def _kdtree(points):
+    """scipy's k-d tree of the points; scipy.spatial is imported on first
+    use, as most commands build no tree."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
 
 
 def _resolution(box, resolution) -> float:
@@ -284,8 +314,10 @@ def phi_norm(f: Polynomial, phi: WeightFunction) -> float:
 
 def _dilations(region: Region, eps_list) -> list[np.ndarray]:
     """fatten's sample rows for each eps of the ascending eps_list, from one
-    lattice and one k-d tree at the largest eps, as the sets are nested.  A
-    lattice point at distance 0 repeats a sample: dropping it keeps rows distinct."""
+    lattice at the largest eps and the region's k-d tree, as the sets are
+    nested.  A lattice point at distance 0 repeats a sample: dropping it keeps
+    rows distinct, and a sample that rounds to a lattice index holding its
+    exact coordinates marks that point, which is never queried."""
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ValueError(f"eps must be given, positive and finite, got {eps_list}")
     if sorted(eps_list) != eps_list:
@@ -296,9 +328,14 @@ def _dilations(region: Region, eps_list) -> list[np.ndarray]:
     # k stays a float, so a huge eps overflows to inf and meets _lattice's cap
     k0 = np.floor(-e_max / res) - 1
     k1 = [np.ceil((float(hi - lo) + e_max) / res) + 1 for lo, hi in region.box]
-    grid = _lattice([k - k0 + 1 for k in k1],
-                    lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
-    dist, _ = cKDTree(samples).query(grid, k=1)
+    sizes = [k - k0 + 1 for k in k1]
+    grid = _lattice(sizes, lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
+    corner = np.array([lo for lo, _ in region.box])
+    k = np.rint((samples - corner) / res)  # lo + k*res as _lattice computes it
+    hit = np.all((corner + res * k == samples) & (k >= k0) & (k <= k1), axis=1)
+    grid = np.delete(grid, np.ravel_multi_index((k[hit] - k0).astype(np.intp).T,
+                                                np.array(sizes, dtype=np.intp)), axis=0)
+    dist, _ = _memoized(region, "tree", lambda: _kdtree(samples)).query(grid, k=1)
     keep = (dist > 0) & (dist <= reach[-1])
     pts = np.vstack([samples, grid[keep]])
     dist = np.concatenate([np.zeros(len(samples)), dist[keep]])

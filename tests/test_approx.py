@@ -614,21 +614,99 @@ class TestPsdOnFattening:
         Region.from_box([(0, 1), (0, 1)], resolution=0.05),
     ], ids=["line", "square"])
     def test_one_dilation_per_call(self, region, monkeypatch):
+        """One lattice per call, and one k-d tree per Region across calls."""
         trees, lattices = [], []
-        tree, lattice = norms.cKDTree, norms._lattice
-        monkeypatch.setattr(norms, "cKDTree", lambda pts: trees.append(1) or tree(pts))
+        tree, lattice = norms._kdtree, norms._lattice
+        monkeypatch.setattr(norms, "_kdtree", lambda pts: trees.append(1) or tree(pts))
         monkeypatch.setattr(norms, "_lattice",
                             lambda *a: lattices.append(1) or lattice(*a))
         f = X(region.n, 0) ** 2 - 0.3
         eps_list = [0.02, 0.05, 0.07, 0.1, 0.15]
         rep = psd_on_fattening(f, region, eps_list)
         assert len(trees) == len(lattices) == 1
+        assert psd_on_fattening(f, region, eps_list) == rep
+        assert len(trees) == 1 and len(lattices) == 2
         # the same entries as a separate fattening at each eps
         for eps, value, point in rep.entries:
             pts = fatten(region, eps).sample_points
             vals = f.evaluate_grid(pts)
             i = int(np.argmin(vals))
             assert (value, point) == (float(vals[i]), tuple(pts[i]))
+
+
+def _memo_calls(region):
+    """Interleaved and repeated sup fits and witnesses on one region."""
+    n = region.n
+    f = sum((X(n, i) ** 2 for i in range(1, n)), X(n, 0) ** 2) + 0.1
+    pts = [tuple(region.sample_points[0])]
+    return [lambda r: sup_approximate(f, r, d=1, eps=0.05, max_fit_degree=6),
+            lambda r: strictness_witness(pts, r, eps=0.1, fit_degree=6),
+            lambda r: sup_approximate(f, r, d=2, eps=0.05, max_fit_degree=6),
+            lambda r: sup_approximate(f, r, d=1, eps=0.05, max_fit_degree=4),
+            lambda r: strictness_witness(pts, r, eps=0.1, fit_degree=4),
+            lambda r: strictness_witness(pts, r, eps=0.1, fit_degree=6)]
+
+
+class TestRegionMemo:
+    BOXES = [([(-1, 1)], 0.01), ([(-0.5, 1.5), (0, 1)], 0.05)]
+
+    @pytest.mark.parametrize("box, res", BOXES, ids=["line", "rectangle"])
+    def test_shared_region_gives_the_bytes_of_fresh_regions(self, box, res):
+        shared = Region.from_box(box, resolution=res)
+        for call in _memo_calls(shared) * 2:
+            got = json.dumps(call(shared).to_json_dict(), sort_keys=True)
+            want = json.dumps(call(Region.from_box(box, resolution=res)).to_json_dict(),
+                              sort_keys=True)
+            assert got == want
+        grams = {("gram", len(monomials_upto(shared.n, deg))) for deg in (4, 6)}
+        assert grams <= set(shared._memo)
+
+    def test_equal_regions_keep_their_own_memo(self):
+        """Equality ignores the samples, so a memo shared between equal
+        Regions would fit one region's samples with another's Gram."""
+        region = Region.from_box([(0, 1)], resolution=0.01)
+        fits = _memo_calls(region)
+        first = [call(region).to_json_dict() for call in fits]
+        subset = region.sample_points[::3].copy()
+        subset.setflags(write=False)
+        for other in (Region.from_box([(0, 1)], resolution=0.01),
+                      Region(1, region.box, (), region.resolution, subset)):
+            assert other == region and hash(other) == hash(region)
+            assert other._memo == {}
+            fresh = Region(1, other.box, (), other.resolution, other.sample_points)
+            assert [call(other).to_json_dict() for call in fits] == [
+                call(fresh).to_json_dict() for call in fits]
+            assert all(other._memo[k] is not region._memo[k] for k in other._memo)
+        assert [call(region).to_json_dict() for call in fits] == first
+        fat = fatten(region, 0.05)
+        assert fat._memo == {}
+        psd_on_fattening(X(1, 0) ** 2, fat, [0.01])
+        psd_on_fattening(X(1, 0) ** 2, region, [0.01])
+        assert fat._memo["tree"] is not region._memo["tree"]
+        assert "memo" not in repr(region) and "memo" not in json.dumps(region.to_json_dict())
+
+    def test_memo_arrays_are_read_only(self):
+        region = Region.from_box([(-1, 1), (0, 2)], resolution=0.1)
+        for call in _memo_calls(region):
+            call(region)
+        psd_on_fattening(X(2, 0), region, [0.1])
+        arrays = [v for v in region._memo.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == len(region._memo) - 1 >= 4  # the tree is the one other
+        for v in arrays:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 1.0
+
+    def test_writable_samples_are_not_memoized(self):
+        memo_free = Region.from_box([(0, 1)], resolution=0.01)
+        writable = Region(1, memo_free.box, (), memo_free.resolution,
+                          memo_free.sample_points.copy())
+        assert writable.sample_points.flags.writeable
+        for call in _memo_calls(writable):
+            assert call(writable).to_json_dict() == call(memo_free).to_json_dict()
+        rep = psd_on_fattening(X(1, 0) - 0.5, writable, [0.01, 0.02])
+        assert rep == psd_on_fattening(X(1, 0) - 0.5, memo_free, [0.01, 0.02])
+        assert writable._memo == {} and memo_free._memo
 
 
 def _sample_certificates():

@@ -194,6 +194,101 @@ def test_from_points_dedupes_in_lexicographic_order():
     assert k.sample_points.tolist() == [[0.0, -1.0], [0.0, 2.0], [1.0, 0.0]]
 
 
+@pytest.mark.parametrize("points, match", [
+    ([], "empty point set"),
+    (np.zeros((0, 2)), "empty point set"),
+    ([[]], "variable count must be >= 1, got 0"),
+    ([(0.0,), (math.nan,)], "coordinates must be finite"),
+    ([(0.0, 1.0), (math.inf, 0.0)], "coordinates must be finite"),
+    ([(0.0,), (-math.inf,)], "coordinates must be finite"),
+], ids=["empty", "empty-2d", "no-variables", "nan", "inf", "minus-inf"])
+def test_from_points_rejects_bad_input(points, match):
+    with pytest.raises(ValueError, match=match):
+        Region.from_points(points)
+
+
+def _full_tree_dilations(region, eps_list):
+    """_dilations as it was before lattice hits were skipped: every lattice
+    point is queried against a fresh k-d tree of the samples."""
+    from scipy.spatial import cKDTree
+    reach = [eps * (1 + 1e-12) for eps in eps_list]
+    res, samples, e_max = region.resolution, region.sample_points, float(eps_list[-1])
+    k0 = np.floor(-e_max / res) - 1
+    k1 = [np.ceil((float(hi - lo) + e_max) / res) + 1 for lo, hi in region.box]
+    grid = norms._lattice([k - k0 + 1 for k in k1],
+                          lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
+    dist, _ = cKDTree(samples).query(grid, k=1)
+    keep = (dist > 0) & (dist <= reach[-1])
+    pts = np.vstack([samples, grid[keep]])
+    dist = np.concatenate([np.zeros(len(samples)), dist[keep]])
+    order = np.lexsort(pts.T[::-1])
+    pts, dist = pts[order], dist[order]
+    return [pts[dist <= r] for r in reach]
+
+
+@st.composite
+def dilation_cases(draw):
+    """A small region (box, disk, off-lattice points, or a box with a
+    degenerate side) and ascending eps, one of them a lattice distance."""
+    kind = draw(st.sampled_from(["box", "disk", "points", "flat"]))
+    n = 2 if kind in ("disk", "flat") else draw(st.integers(1, 2))
+    res = draw(st.sampled_from([0.05, 0.1, 0.125, 0.07]))
+    side = st.tuples(st.sampled_from([-1.0, -0.5, 0.0, 0.3]),
+                     st.sampled_from([0.25, 0.5, 0.7, 1.0]))
+    box = [(lo, lo + w) for lo, w in draw(st.lists(side, min_size=n, max_size=n))]
+    if kind == "points":
+        coords = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+        pts = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=6))
+        region = Region.from_points(pts, resolution=res)
+    else:
+        if kind == "flat":
+            box[1] = (box[1][0], box[1][0])
+        ineqs = ()
+        if kind == "disk":
+            cx, cy = ((lo + hi) / 2 for lo, hi in box)
+            r2 = min(hi - lo for lo, hi in box) ** 2 / 4
+            ineqs = (r2 - (X(2, 0) - cx) ** 2 - (X(2, 1) - cy) ** 2,)
+        region = Region.from_box(box, ineqs, resolution=res)
+    steps = draw(st.integers(1, 3))
+    lattice_eps = res * math.sqrt(steps) if draw(st.booleans()) else res * steps
+    eps = {lattice_eps, draw(st.floats(0.01, 0.3))}
+    return region, sorted(eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dilation_cases())
+def test_dilations_match_full_tree_reference(case):
+    region, eps_list = case
+    got = norms._dilations(region, eps_list)
+    want = _full_tree_dilations(region, eps_list)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes() and g.shape == w.shape
+
+
+@pytest.mark.parametrize("box, res, lattice, samples", [
+    ([(-1.0, 1.0)], 1e-3, 2043, 2001),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.02, 3481, 2601),
+], ids=["line", "square"])
+def test_dilation_skips_lattice_points_that_are_samples(box, res, lattice, samples,
+                                                       monkeypatch):
+    queried, tree = [], norms._kdtree
+
+    class Tree:
+        def __init__(self, pts):
+            self.tree = tree(pts)
+
+        def query(self, pts, k):
+            queried.append(len(pts))
+            return self.tree.query(pts, k=k)
+    monkeypatch.setattr(norms, "_kdtree", Tree)
+    region = Region.from_box(box, resolution=res)
+    eps = 0.02 if len(box) == 1 else 0.06
+    assert len(region.sample_points) == samples
+    norms._dilations(region, [eps])
+    assert queried == [lattice - samples]
+
+
 class TestLasserreThreshold:
     def test_unit_box(self):
         k = Region.from_box([(-1, 1), (-1, 1)])
