@@ -79,16 +79,16 @@ class Certificate:
             # A failure certificate stores only the point refuting positivity.
             return {"witness_value": p["f"].evaluate(self.residuals["witness_point"])}
         if self.kind == "tk":
-            scale, c, power = 2.0 ** (2 * d["d"] * d["m"]), d["c"], 2 * d["d"]
-            return _per_point(p["f"], lambda pt: scale * c.evaluate(pt) ** power,
-                              p["points"])
+            scale, power = 2.0 ** (2 * d["d"] * d["m"]), 2 * d["d"]
+            return _per_point(p["f"], p["points"],
+                              [scale * v ** power for v in d["c"]._evaluate_at(p["points"])])
         if self.kind == "sup":
             samples = p["region"].sample_points
             return _power_gap(p["f"].evaluate_grid(samples), d["b"], d["d"], samples)
         if self.kind == "series":
             return _series_residuals(p, d["q"])
         if self.kind == "module":
-            return _per_point(p["a"], _module_element(p, d).evaluate, p["points"])
+            return _per_point(p["a"], p["points"], _module_element(p, d)._evaluate_at(p["points"]))
         if self.kind == "witness":
             return {"max_at_points": max(abs(d["a"].evaluate(pt)) for pt in p["points"]),
                     "sup_norm": sup_norm(d["a"], p["region"]).value}
@@ -155,8 +155,8 @@ def _not_psd(kind: str, params: dict, point, value, where: str) -> Certificate:
                        message=f"not Psd {where}: f{point} = {value}")
 
 
-def _per_point(target: Polynomial, value_at, points) -> dict:
-    return {"per_point": [abs(target.evaluate(pt) - value_at(pt)) for pt in points]}
+def _per_point(target: Polynomial, points, values) -> dict:
+    return {"per_point": [abs(t - v) for t, v in zip(target._evaluate_at(points), values)]}
 
 
 def _power_gap(fvals, b: Polynomial, d: int, samples) -> dict:
@@ -248,9 +248,9 @@ def _module_element(params, decomposition) -> Polynomial:
     d = decomposition["d"]
     total = Polynomial.zero(n)
     for comp in decomposition["components"]:
-        t = Polynomial.constant(n, comp["t_scalar"])
-        if comp["generator_index"] is not None:
-            t = t * generators[comp["generator_index"]]
+        t, gi = comp["t_scalar"], comp["generator_index"]
+        if gi is not None:
+            t = Polynomial.constant(n, t) * generators[gi]
         total = total + (1.0 / comp["lam"]) * comp["p"] ** (2 * d) * t
     return total
 
@@ -373,7 +373,7 @@ def tk_approximate(f: Polynomial, points, d: int, eps: float) -> Certificate:
         if len(p) != f.n:
             raise ValueError(f"point dimension {len(p)} != {f.n}")
     f_exact = f.to_exact()
-    vals = [f.evaluate(p) for p in pts]
+    vals = f._evaluate_at(pts)
     params = {"f": f, "points": pts, "d": d, "eps": eps}
 
     work = f_exact
@@ -459,11 +459,10 @@ def series_root(r: float, a: Polynomial, d: int, n_terms: int,
     """Truncated binomial series q_N for (r + sign*a)**(1/2d).
 
     Requires ||a||_phi < r strictly (the series' radius of convergence).
-    The certificate records the measured ||q_N**(2d) - (r + sign*a)||_phi,
-    the raw series tail sum_{i>N} |lambda_i| ||a||_phi**i (closed form by
-    geometric majorization), and a tail bound on the measured power-level
-    error obtained from submultiplicativity of the weighted l1 norm.
-    """
+    phi_norm_error is ||q_N**(2d) - (r + sign*a)||_phi in float (rounding not
+    bounded); series_tail, sum_{i>N} |lambda_i| ||a||_phi**i by geometric
+    majorization, bounds ||q_N - (r + sign*a)**(1/2d)||_phi, and tail_bound the
+    exact phi_norm_error by submultiplicativity.  ``success`` is always True."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if sign not in (1, -1):
@@ -505,7 +504,7 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
     pts = [tuple(float(v) for v in p) for p in points]
     if not pts:
         raise ValueError("at least one point is required")
-    avals = [a.evaluate(p) for p in pts]
+    avals = a._evaluate_at(pts)
     one = Polynomial.constant(a.n, 1)
 
     node_elems = []  # (nonnegative scalar, generator index or None)
@@ -522,13 +521,14 @@ def module_interpolate(a: Polynomial, generators, points, d: int) -> Certificate
         node_elems.append((v / generators[gi].evaluate(p), gi))
 
     ell = _separating_form(a.n, pts)
-    nodes = [ell.evaluate(p) for p in pts]
+    nodes = ell._evaluate_at(pts)
+    factors = {vj: ell - vj for vj in dict.fromkeys(nodes)}  # distinct, first occurrence order
     components = []
     for vi, (scalar, gi) in zip(nodes, node_elems):
         pi = one
-        for vj in dict.fromkeys(nodes):  # distinct nodes, first occurrence order
+        for vj, factor in factors.items():
             if vj != vi:
-                pi = pi * (ell - vj) * (1.0 / (vi - vj))
+                pi = pi * factor * (1.0 / (vi - vj))
         components.append({"lam": nodes.count(vi), "p": pi, "t_scalar": scalar,
                            "generator_index": gi})
     params = {"a": a, "generators": generators, "points": pts, "d": d}

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, qr_delete, qr_insert
 
 from .norms import Region, WeightFunction
 from .poly import Polynomial, _wire_entries, _wire_int, _wire_real, design_matrix
@@ -24,10 +23,7 @@ MAX_RECOMMENDED_DEGREE = 12
 # Moment-matrix eigenvalues within this fraction of the largest count as zero.
 FLAT_RANK_TOL = 1e-9
 GOLDEN = (math.sqrt(5) - 1) / 2
-# scipy >= 1.15 wraps the QR updates in a functools.wraps batch dispatch whose 2-D
-# branch is `return f(*arrays, *other_args, **kwargs)` (_apply_over_batch): call f.
-_qr_insert = getattr(qr_insert, "__wrapped__", qr_insert)
-_qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
+_qr_insert = _qr_delete = None  # scipy.linalg's QR updates; nnls sets those still None
 
 
 @dataclass(frozen=True)
@@ -311,6 +307,12 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                                   and 0 <= cand.min() and cand.max() < ncols):
         raise ValueError("start must be distinct column indices in [0, ncols), at least one")
 
+    global _qr_insert, _qr_delete  # scipy.linalg loads on the first NNLS: most commands solve none
+    from scipy.linalg import lapack, qr_delete, qr_insert
+    # scipy >= 1.15 wraps the QR updates in a functools.wraps batch dispatch whose 2-D
+    # branch is `return f(*arrays, *other_args, **kwargs)` (_apply_over_batch): call f.
+    _qr_insert = _qr_insert or getattr(qr_insert, "__wrapped__", qr_insert)
+    _qr_delete = _qr_delete or getattr(qr_delete, "__wrapped__", qr_delete)
     at, x, kmax = a.T[cand], np.zeros(len(cand)), min(m, ncols)  # at: C-contiguous
     passive, k = np.empty(kmax, dtype=np.intp), 0
     q, r = np.eye(m), np.empty((m, 0))

@@ -249,7 +249,8 @@ class Polynomial:
         zeros and sorts, unless the terms are in grlex order already."""
         p = object.__new__(cls)
         p.n, p.demoted, p._arrays = n, demoted, None
-        p.terms = {e: c for e, c in terms.items() if not _is_zero_coeff(c)}
+        p.terms = {e: c for e, c in terms.items()  # not _is_zero_coeff(c), inline
+                   if (c.m if isinstance(c, Dyadic) else not abs(c) < FLOAT_ZERO_TOL)}
         if not ordered:
             p.terms = dict(sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
         return p
@@ -301,8 +302,10 @@ class Polynomial:
         demoted = self.demoted or other.demoted or any(
             isinstance(self.terms[exp], Dyadic) != isinstance(other.terms[exp], Dyadic)
             for exp in self.terms.keys() & other.terms.keys())
-        return Polynomial._ring_result(self.n, terms, demoted,
-                                       ordered=other.terms.keys() <= self.terms.keys())
+        # other's new terms follow self's, in grlex order: sorted if the first comes last
+        new = next((exp for exp in other.terms if exp not in self.terms), None)
+        return Polynomial._ring_result(self.n, terms, demoted, ordered=new is None or (
+            not self.terms or grlex_key(new) > grlex_key(next(reversed(self.terms)))))
 
     __radd__ = __add__
 
@@ -387,17 +390,19 @@ class Polynomial:
         return p
 
     def __pow__(self, p: int):
+        """By squaring.  The first factor taken stands for constant(1) * factor:
+        its terms, demoted (as that product is) where it holds a float."""
         if p < 0:
             raise ValueError(f"polynomial power must be nonnegative, got {p}")
-        result = Polynomial.constant(self.n, 1)
-        base = self
+        result, base = None, self
         while p:
             if p & 1:
-                result = result * base
+                result = result * base if result is not None else Polynomial._ring_result(
+                    self.n, base.terms, base.demoted or not base.is_exact, ordered=True)
             p >>= 1
             if p:
                 base = base * base
-        return result
+        return Polynomial.constant(self.n, 1) if result is None else result
 
     # -- evaluation --
 
@@ -418,7 +423,7 @@ class Polynomial:
 
         c * x1**e1 * ... * xn**en per term, summed from 0.0 in term order; powers
         are float ** int, which raise OverflowError.  A loop up to EVAL_LOOP_TERMS
-        terms, numpy power tables and the sequential np.cumsum above: same bits."""
+        terms and _evaluate_at above: same bits."""
         if len(x) != self.n:
             raise ValueError(f"point has dimension {len(x)}, polynomial has {self.n}")
         if len(self.terms) <= EVAL_LOOP_TERMS:
@@ -429,12 +434,20 @@ class Polynomial:
                     v *= float(xi) ** e
                 total += v
             return total
+        return self._evaluate_at([x])[0]
+
+    def _evaluate_at(self, points) -> list:
+        """[self.evaluate(x) for x in points], bit for bit: power tables by float ** int,
+        products in variable order, one sequential row-wise np.cumsum."""
+        if (dim := next((len(x) for x in points if len(x) != self.n), None)) is not None:
+            raise ValueError(f"point has dimension {dim}, polynomial has {self.n}")
         exps, vals, tops = self._eval_arrays()
         with np.errstate(over="ignore", invalid="ignore"):
-            for xi, col, top in zip(x, exps.T, tops):
-                vals = vals * np.array([float(xi) ** e for e in range(top + 1)])[col]
+            for i, (col, top) in enumerate(zip(exps.T, tops)):
+                vals = vals * np.array([[float(x[i]) ** e for e in range(top + 1)]
+                                        for x in points]).reshape(len(points), top + 1)[:, col]
             # + 0.0 acts as a 0.0 start would: a sum of -0.0s becomes 0.0
-            return float(vals.cumsum()[-1]) + 0.0 if vals.size else 0.0
+            return (vals.cumsum(1)[:, -1] + 0.0).tolist() if self.terms else [0.0] * len(points)
 
     def evaluate_exact(self, x) -> Dyadic:
         """Exact evaluation at a dyadic point (all coefficients dyadic)."""

@@ -5,6 +5,7 @@ numerical null spaces of point-evaluation matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,17 +19,22 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def monomials_upto(n: int, degree: int) -> list[tuple]:
-    """All exponent vectors with |s| <= degree, in graded lex order: within a
-    degree, descending lex order of exponents."""
+    """All exponent vectors with |s| <= degree, in graded lex order (within a
+    degree, descending lex); built once per (n, degree), a new list per call."""
+    return list(_monomials(n, degree))
+
+
+@functools.cache
+def _monomials(n: int, degree: int) -> tuple:
     if n == 0:
-        return [()] if degree >= 0 else []
+        return ((),) if degree >= 0 else ()
     # levels[d]: the exponents of the last i variables that sum to d, descending;
     # each step puts a new first exponent e = d, d - 1, ..., 0 in front
     levels = [[(d,)] for d in range(degree + 1)]
     for _ in range(n - 1):
         levels = [[(e,) + rest for e in range(d, -1, -1) for rest in levels[d - e]]
                   for d in range(degree + 1)]
-    return [exp for level in levels for exp in level]
+    return tuple(exp for level in levels for exp in level)
 
 
 def coefficient_space_dim(n: int, degree: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -392,6 +393,25 @@ class TestModuleInterpolate:
         comps = cert.decomposition["components"]
         assert [c["lam"] for c in comps] == [2, 1, 2]
         assert all(c["p"].degree() <= 1 for c in comps)
+
+    @pytest.mark.parametrize("case, digest", [
+        ("1-D", "8a1fedbb7d269c46771d13bee8f1011d64da07f6388530fbdb7f127b0bf826e1"),
+        ("2-D", "14832be0834bde45b805397dfa463e4f5c8189eda267e235cd15b2940ee17be2"),
+    ])
+    def test_repeated_and_signed_zero_nodes_keep_their_bytes(self, case, digest):
+        # Pinned: the report, verify(), the element's and each p's demoted flag,
+        # as built with one ell - v_j per node pair and t_scalar as a constant.
+        if case == "1-D":
+            x = X(1, 0)  # a = x (1 + x/4) is 0.0 at 0.0 and -0.0; generator x - 2
+            cert = module_interpolate(x * (1 + 0.25 * x), [x - 2], [
+                (-0.5,), (0.0,), (0.5,), (-0.0,), (0.5,), (-0.5,), (0.75,)], d=2)
+        else:
+            x, y = X(2, 0), X(2, 1)
+            cert = module_interpolate(x * x + y * y - 0.25, [x * x + y * y - 0.5], [
+                (0.0, -0.0), (0.5, 0.25), (-0.0, 0.0), (0.5, 0.25), (-0.125, 0.375)], d=1)
+        blob = json.dumps([cert.to_json_dict(), cert.verify(), cert.element().demoted,
+                           [c["p"].demoted for c in cert.decomposition["components"]]])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestStrictnessWitness:

@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,13 @@ def test_bad_input_exits_2_with_json_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", [pytest.param(c, id=c.id) for c in CASES if c.exit != 2])
 def test_command_report(case, tmp_path, capsys):
     run_case(case, tmp_path, in_process(capsys))
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # scipy.linalg is imported by the first NNLS, scipy.spatial by the first k-d tree
+    code = ("import sys, cone2d.cli; "
+            "assert 'scipy.linalg' not in sys.modules and 'scipy.spatial' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestLoaders:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack, qr_delete, qr_insert
 from scipy.optimize import nnls as scipy_nnls
 
-from cone2d import moments
+from cone2d import moments, spectrum
 from cone2d.moments import (AtomicMeasure, MomentFunctional, NNLSResult,
                             PowerVerdict, from_measure, hankel_psd_check,
                             measure_recover, nnls, phi_continuity,
@@ -463,6 +463,7 @@ THREE_ATOMS = [(0.25, 0.5, 0.5), (0.75, 0.125, 0.3), (0.5, 0.875, 0.2)]  # x, y,
 
 class TestNnlsUpdates:
     def test_calls_unbatched_kernels(self):
+        nnls(np.eye(2), np.ones(2))  # the first solve imports the kernels
         assert moments._qr_insert is getattr(qr_insert, "__wrapped__", qr_insert)
         assert moments._qr_delete is getattr(qr_delete, "__wrapped__", qr_delete)
 
@@ -691,6 +692,14 @@ def recorded_miss():
 
 
 class TestRecovery:
+    def test_second_recover_builds_no_monomials(self, monkeypatch):
+        k = Region.from_box([(-1, 1), (-1, 1)], resolution=0.1)
+        L = uniform_box_moments([(-1, 1), (-1, 1)], 6)
+        measure_recover(L, k)
+        built = spectrum._monomials.cache_info().misses
+        measure_recover(L, k)
+        assert spectrum._monomials.cache_info().misses == built
+
     def test_on_grid_dirac(self):
         k = Region.from_box([(-1, 1)], resolution=0.1)
         L = from_measure(AtomicMeasure.of([(0.5,)], [1.0]), 6)

@@ -584,6 +584,80 @@ def test_evaluate_both_sides_bit_identical(threshold, case):
             assert p._arrays is not None
 
 
+def assert_batch_evaluates_like_evaluate(p, points):
+    """p._evaluate_at(points) is [p.evaluate(x) for x in points] and the term
+    loop's values, NaN without its sign (see nan_blind), or all raise OverflowError."""
+    try:
+        want = [nan_blind(reference_evaluate(p, x)) for x in points]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            p._evaluate_at(points)
+        with pytest.raises(OverflowError):
+            [p.evaluate(x) for x in points]
+        return
+    assert [nan_blind(v) for v in p._evaluate_at(points)] == want
+    assert [nan_blind(p.evaluate(x)) for x in points] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_cases())
+@example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
+@example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (-0.0,)))  # past the loop
+@example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (1e40,)))  # overflows
+@example((Polynomial.zero(2), (1.0, 2.0)))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_evaluation_bit_identical(case):
+    p, x = case
+    assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_operands())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_evaluation_of_ring_operands(case):
+    p, q, x, y = case
+    for r in (p, q):
+        assert_batch_evaluates_like_evaluate(r, [x, y, x])
+    assert p._evaluate_at([]) == []
+    with pytest.raises(ValueError, match=f"point has dimension {p.n + 1}"):
+        p._evaluate_at([x, (*x, 0.0)])
+
+
+def reference_pow(p, k):
+    """p**k by squaring with reference_mul, from constant(1)."""
+    result, base = Polynomial(p.n, {(0,) * p.n: Dyadic(1)}), p
+    while k:
+        if k & 1:
+            result = reference_mul(result, base)
+        k >>= 1
+        if k:
+            base = reference_mul(base, base)
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_operands())
+@example((Polynomial(1, {(1,): 0.5}), X(1, 0), (0.0,), (1.0,)))  # not demoted, float
+@example((Polynomial(1, {(1,): 1e-200}), X(1, 0), (0.0,), (1.0,)))  # squares to zero
+def test_powers_bit_identical_to_reference(case):
+    p, q, _, _ = case
+    for k in range(6):
+        for r in (p, q):
+            assert_identical_but_nan_sign(r ** k, reference_pow(r, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_operands())
+def test_sums_in_grlex_order(case):
+    p, q, _, _ = case
+    # q's terms all after p's last, then in whatever order the strategy drew
+    after = q * Polynomial(p.n, {(p.degree() + 1,) + (0,) * (p.n - 1): Dyadic(1)})
+    for left, right in ((p, after), (p, q), (q, p), (after, p), (p, p + after)):
+        got = left + right
+        assert list(got.terms) == sorted(got.terms, key=poly.grlex_key)
+        assert_identical_but_nan_sign(got, reference_add(left, right))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_polys(2), small_polys(2))
 def test_dyadic_addition_exact(p, q):

@@ -52,6 +52,13 @@ class TestMonomials:
         for n, d in [(0, 0), (0, 3), (2, 48), (3, -1)]:
             assert monomials_upto(n, d) == _reference_monomials(n, d), (n, d)
 
+    def test_returned_list_does_not_reach_the_cache(self):
+        first = monomials_upto(2, 3)
+        first.append((9, 9))
+        first[0] = (7, 7)
+        again = monomials_upto(2, 3)
+        assert again == _reference_monomials(2, 3) and again is not first
+
 
 class TestKphiContains:
     def test_unit_box_point_inside(self):
