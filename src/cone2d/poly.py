@@ -249,8 +249,7 @@ class Polynomial:
         zeros and sorts, unless the terms are in grlex order already."""
         p = object.__new__(cls)
         p.n, p.demoted, p._arrays = n, demoted, None
-        p.terms = {e: c for e, c in terms.items()  # not _is_zero_coeff(c), inline
-                   if (c.m if isinstance(c, Dyadic) else not abs(c) < FLOAT_ZERO_TOL)}
+        p.terms = {e: c for e, c in terms.items() if not _is_zero_coeff(c)}
         if not ordered:
             p.terms = dict(sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
         return p
@@ -439,6 +438,8 @@ class Polynomial:
     def _evaluate_at(self, points) -> list:
         """[self.evaluate(x) for x in points], bit for bit: power tables by float ** int,
         products in variable order, one sequential row-wise np.cumsum."""
+        if len(self.terms) <= EVAL_LOOP_TERMS:  # the loop is faster here, as in evaluate
+            return [self.evaluate(x) for x in points]
         if (dim := next((len(x) for x in points if len(x) != self.n), None)) is not None:
             raise ValueError(f"point has dimension {dim}, polynomial has {self.n}")
         exps, vals, tops = self._eval_arrays()
@@ -447,7 +448,7 @@ class Polynomial:
                 vals = vals * np.array([[float(x[i]) ** e for e in range(top + 1)]
                                         for x in points]).reshape(len(points), top + 1)[:, col]
             # + 0.0 acts as a 0.0 start would: a sum of -0.0s becomes 0.0
-            return (vals.cumsum(1)[:, -1] + 0.0).tolist() if self.terms else [0.0] * len(points)
+            return (vals.cumsum(1)[:, -1] + 0.0).tolist()
 
     def evaluate_exact(self, x) -> Dyadic:
         """Exact evaluation at a dyadic point (all coefficients dyadic)."""

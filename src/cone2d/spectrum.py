@@ -20,7 +20,8 @@ DEFAULT_RANK_TOL = 1e-10
 
 def monomials_upto(n: int, degree: int) -> list[tuple]:
     """All exponent vectors with |s| <= degree, in graded lex order (within a
-    degree, descending lex); built once per (n, degree), a new list per call."""
+    degree, descending lex); a new list per call of a tuple built once per (n, degree)
+    and kept until the process exits (``_monomials.cache_clear()`` frees them all)."""
     return list(_monomials(n, degree))
 
 

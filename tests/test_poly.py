@@ -599,6 +599,7 @@ def assert_batch_evaluates_like_evaluate(p, points):
     assert [nan_blind(p.evaluate(x)) for x in points] == want
 
 
+@pytest.mark.parametrize("threshold", [0, poly.EVAL_LOOP_TERMS])
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
@@ -606,9 +607,11 @@ def assert_batch_evaluates_like_evaluate(p, points):
 @example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (1e40,)))  # overflows
 @example((Polynomial.zero(2), (1.0, 2.0)))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_batched_evaluation_bit_identical(case):
+def test_batched_evaluation_bit_identical(threshold, case):
     p, x = case
-    assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "EVAL_LOOP_TERMS", threshold)
+        assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
 
 
 @settings(max_examples=100, deadline=None)
