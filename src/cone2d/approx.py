@@ -10,14 +10,16 @@ constructors fill them from it and ``verify`` re-runs it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import Region, WeightFunction, _dilations, _kdtree, _memoized, phi_norm, sup_norm
-from .poly import Dyadic, Polynomial, design_matrix, nearest_dyadic
+from .norms import (Region, WeightFunction, _dilations, _kdtree, _memoized, _recorded_lattice,
+                    _sample_values, phi_norm, sup_norm)
+from .poly import Dyadic, Polynomial, _on_lattice, design_matrix, nearest_dyadic
 from .spectrum import monomials_upto
 
 VERIFY_TOL = 1e-12
@@ -83,8 +85,7 @@ class Certificate:
             return _per_point(p["f"], p["points"],
                               [scale * v ** power for v in d["c"]._evaluate_at(p["points"])])
         if self.kind == "sup":
-            samples = p["region"].sample_points
-            return _power_gap(p["f"].evaluate_grid(samples), d["b"], d["d"], samples)
+            return _power_gap(_sample_values(p["f"], p["region"]), d["b"], d["d"], p["region"])
         if self.kind == "series":
             return _series_residuals(p, d["q"])
         if self.kind == "module":
@@ -159,11 +160,11 @@ def _per_point(target: Polynomial, points, values) -> dict:
     return {"per_point": [abs(t - v) for t, v in zip(target._evaluate_at(points), values)]}
 
 
-def _power_gap(fvals, b: Polynomial, d: int, samples) -> dict:
-    """Sampled sup of |f - b**(2d)| from f's values on the samples."""
-    gap = np.abs(fvals - b.evaluate_grid(samples) ** (2 * d))
+def _power_gap(fvals, b: Polynomial, d: int, region: Region) -> dict:
+    """Sampled sup of |f - b**(2d)| from f's values on the region's samples."""
+    gap = np.abs(fvals - _sample_values(b, region) ** (2 * d))
     i = int(np.argmax(gap))
-    return {"sup": float(gap[i]), "argmax": tuple(samples[i])}
+    return {"sup": float(gap[i]), "argmax": tuple(region.sample_points[i])}
 
 
 def _gram_solve(gram, rhs):
@@ -346,7 +347,8 @@ def _horner_packed(lams, b: Polynomial) -> Polynomial:
     terms = {}
     for exp in monomials_upto(n, top):
         at = sum(map(operator.mul, exp, places))
-        terms[exp] = Dyadic(int.from_bytes(raw[at:at + width], "little") - half, scale)
+        if digit := int.from_bytes(raw[at:at + width], "little") - half:
+            terms[exp] = Dyadic(digit, scale)
     return Polynomial._ring_result(n, terms, False, ordered=True)
 
 
@@ -433,7 +435,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
     if max_fit_degree < 0:
         raise ValueError(f"fit degree must be >= 0, got {max_fit_degree}")
     samples = region.sample_points
-    fvals = f.evaluate_grid(samples)
+    fvals = _sample_values(f, region)
     params = {"f": f, "region": region, "d": d, "eps": eps,
               "max_fit_degree": max_fit_degree}
     imin = int(np.argmin(fvals))
@@ -448,7 +450,7 @@ def sup_approximate(f: Polynomial, region: Region, d: int, eps: float,
                if rank < len(monos) else "")
     b = Polynomial(f.n, {exp: float(ci) for exp, ci in zip(monos, coeffs)})
 
-    residuals = _power_gap(fvals, b, d, samples)
+    residuals = _power_gap(fvals, b, d, region)
     return Certificate("sup", residuals["sup"] < eps, params,
                        {"b": b, "d": d, "fit_degree": max_fit_degree},
                        residuals, message=message)
@@ -547,7 +549,8 @@ def _fit(anchors, rhs, region, target, monos, eps):
     SVD, and A Z is A.
 
     The fit runs in the box's Chebyshev basis, y from the normal equations
-    by _gram_solve on the region's memoized Gram A^T A, and is kept unless
+    by _gram_solve on the region's memoized Gram A^T A and A^T t (by
+    _on_lattice where the region has a recorded lattice), and is kept unless
     those or x's monomial form fail their check (GRAM_COND,
     MONOMIAL_ROUNDING).  Otherwise it runs again in monomials, y by SVD
     least squares on the column-scaled A Z, and rank is that solve's (Z's
@@ -561,13 +564,18 @@ def _fit(anchors, rhs, region, target, monos, eps):
             x0 = vt[:rank].T @ (u[:, :rank].T @ rhs / sigma[:rank])
             z = vt[rank:].T
             feas = np.linalg.norm(constraints @ x0 - rhs)
-        a = design_matrix(region.sample_points, monos, basis)
+        # built at most once per basis, and on the lattice path only for a new Gram
+        design = functools.cache(lambda: design_matrix(region.sample_points, monos, basis))
         if basis is not None:
-            gram = _memoized(region, ("gram", len(monos)), lambda: a.T @ a)
-            y = _gram_solve(z.T @ gram @ z, z.T @ (a.T @ target - gram @ x0))
+            gram = _memoized(region, ("gram", len(monos)), lambda: design().T @ design())
+            lattice = _recorded_lattice(region)
+            at_t = (design().T @ target if lattice is None
+                    else _on_lattice(*lattice, monos, basis, target, transpose=True))
+            y = _gram_solve(z.T @ gram @ z, z.T @ (at_t - gram @ x0))
             x = None if y is None else _monomial_form(x0 + z @ y, monos, region, eps)
             fit_rank = z.shape[1]
         else:
+            a = design()
             az = a @ z if len(anchors) else a
             scale = np.max(np.abs(az), axis=0)
             scale[scale == 0] = 1.0

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .norms import Region, WeightFunction
-from .poly import Polynomial, _wire_entries, _wire_int, _wire_real, design_matrix
+from .poly import Polynomial, _wire_entries, _wire_int, _wire_object, _wire_real, design_matrix
 from .spectrum import monomials_upto
 
 # The monomial moment matrix conditions badly past this degree.
@@ -93,6 +93,7 @@ class MomentFunctional:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MomentFunctional":
+        data = _wire_object(data, "moment functional")
         return cls(_wire_int(data["n"], "variable count n"),
                    _wire_int(data["D"], "degree D"),
                    _wire_entries(data["moments"], "val", _wire_real))
@@ -286,6 +287,10 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     <= eps * m * ||a_j|| depends numerically on the passive ones and is not
     admitted for that outer pass.  On convergence the KKT conditions hold:
     the gradient is >= -tol where x = 0 and within tol on the passive set.
+    LH's residual sums over the passive columns only, so before it stops the
+    gradient is taken again as a^T (b - a x) on the returned x, and a column
+    over tol there, not passive and not refused by the column test in that
+    pass, is a violator: LH goes on with that gradient.
     ``start`` (distinct column indices) is a working set of entering columns;
     when none can enter, the m columns of largest gradient above tol join it,
     keeping Q R, the passive set and x, and where there are none LH stops.
@@ -318,9 +323,10 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
     q, r = np.eye(m), np.empty((m, 0))
     eps_m, tiny = np.finfo(float).eps * m, np.finfo(float).tiny
     resid, iterations, converged = b, 0, ncols == 0
-    trace = [float(np.linalg.norm(b))]
+    trace, full, kkt = [float(np.linalg.norm(b))], np.zeros(ncols), None
     for _ in range(max_iter):
-        w = at @ resid  # negative gradient
+        w = at @ resid if kkt is None else kkt[cand]  # negative gradient
+        kkt = None
         w[passive[:k]] = -np.inf
         while k < kmax and w[j := int(w.argmax())] > tol:
             col = at[j]
@@ -336,6 +342,13 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                     new = new[np.argsort(g[new])[-m:]]
                     cand, at, x = np.r_[cand, new], np.r_[at, a.T[new]], np.r_[x, 0.0 * new]
                     continue
+            full[cand] = x
+            kkt = a.T @ (b - a @ full)
+            kkt[cand[np.isneginf(w)]] = -np.inf  # passive, or failed the column test
+            if k < kmax and (new := (kkt > tol).nonzero()[0]).size:
+                new = np.setdiff1d(new, cand)
+                cand, at, x = np.r_[cand, new], np.r_[at, a.T[new]], np.r_[x, 0.0 * new]
+                continue
             converged = True
             break
         passive[k], k = j, k + 1
@@ -358,7 +371,6 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-10,
                 passive[i:k - 1], k = passive[i + 1:k], k - 1
         resid = b - x[passive[:k]] @ at[passive[:k]]
         trace.append(math.sqrt(resid.dot(resid)))  # = norm(resid)
-    full = np.zeros(ncols)
     full[cand] = x
     return NNLSResult(full, trace[-1], converged, iterations, tuple(trace))
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import EVAL_LOOP_TERMS, Polynomial, _wire_entries, _wire_int, _wire_real
+from .poly import (EVAL_LOOP_TERMS, Polynomial, _on_lattice, _wire_entries, _wire_int,
+                   _wire_object, _wire_real)
 
 # Boundary points of semialgebraic regions are kept down to this slack.
 INEQ_TOL = -1e-12
@@ -128,7 +129,7 @@ class WeightFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightFunction":
-        kind = data["kind"]
+        kind = _wire_object(data, "weight function")["kind"]
         if kind == "geometric":
             return cls.geometric([_wire_real(r, "radius") for r in data["radii"]])
         if kind == "table":
@@ -155,6 +156,9 @@ class Region:
     matrix of the K monomials (8 K**2 bytes, 16 kB at degree 8 in 2-D) and
     each side's Chebyshev power rows.  The memo is per object: equal Regions
     never share it, and it takes no part in equality, hash, repr or JSON.
+    from_box in two or more variables also records the lattice (axes, kept
+    indices): values on the samples and the fit's A^T t then come from
+    _on_lattice; other Regions (from_points, fatten, 1-D) build design matrices.
     """
 
     n: int
@@ -181,13 +185,22 @@ class Region:
         # float sizes (np.rint rounds half to even) meet _lattice's cap before int()
         sizes = [1 if hi == lo else max(2, np.rint((hi - lo) / resolution) + 1)
                  for lo, hi in box]
-        pts = _lattice(sizes, lambda i: np.linspace(*box[i], int(sizes[i])))
+        pts, axes = _lattice(sizes, lambda i: np.linspace(*box[i], int(sizes[i])))
+        kept = np.arange(len(pts))
         for g in ineqs:
-            pts = pts[g.evaluate_grid(pts) >= INEQ_TOL]
+            inside = g.evaluate_grid(pts) >= INEQ_TOL
+            pts, kept = pts[inside], kept[inside]
         if pts.shape[0] == 0:
             raise ValueError("region has no sample points (inequalities too tight)")
-        pts.setflags(write=False)
-        return cls(n, box, ineqs, resolution, pts)
+        for a in (pts, kept, *axes):
+            a.setflags(write=False)
+        region = cls(n, box, ineqs, resolution, pts)
+        # Lattice or design: at degrees 8-12 on a 101 x 101 grid, values took 0.05-0.07
+        # ms by axes against 0.6-1.3 ms by design matrix (A^T t 0.09-0.12 against
+        # 0.8-1.5); in 1-D, where the lattice is the samples, 0.04-0.05 ms alike.
+        if n > 1:
+            region._memo["lattice"] = tuple(axes), kept
+        return region
 
     @classmethod
     def from_points(cls, points, resolution=None) -> "Region":
@@ -216,6 +229,7 @@ class Region:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
+        data = _wire_object(data, "region")
         ineqs = tuple(Polynomial.from_json_dict(g) for g in data.get("ineqs", []))
         box = [(_wire_real(lo, "box side"), _wire_real(hi, "box side"))
                for lo, hi in data["box"]]
@@ -255,13 +269,28 @@ def _resolution(box, resolution) -> float:
     return res
 
 
-def _lattice(sizes, axis) -> np.ndarray:
-    """Product of the ascending axes axis(i), of sizes[i] values each, as
-    rows in lexicographic order; the size is capped before any axis exists."""
+def _lattice(sizes, axis) -> tuple:
+    """(product of the ascending axes axis(i), of sizes[i] values each, as rows
+    in lexicographic order, the axes); the size is capped before any axis exists."""
     if math.prod(sizes) > MAX_GRID_POINTS:
         raise ValueError(f"grid would exceed {MAX_GRID_POINTS} points; raise the resolution")
-    mesh = np.meshgrid(*map(axis, range(len(sizes))), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    axes = [axis(i) for i in range(len(sizes))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1), axes
+
+
+def _recorded_lattice(region: Region):
+    """(axes, kept) as from_box recorded them (see Region), or None."""
+    return None if region.sample_points.flags.writeable else region._memo.get("lattice")
+
+
+def _sample_values(f: Polynomial, region: Region) -> np.ndarray:
+    """f on the region's samples, by _on_lattice where it recorded a lattice."""
+    lattice = _recorded_lattice(region)
+    if lattice is None or f.n != region.n:  # evaluate_grid names a mismatch
+        return f.evaluate_grid(region.sample_points)
+    exps, coeffs, _ = f._eval_arrays()
+    return _on_lattice(*lattice, exps, None, coeffs)
 
 
 def rho_alpha(f: Polynomial, alpha) -> float:
@@ -281,10 +310,11 @@ class SupNormResult(NamedTuple):
 
 
 def sup_norm(f: Polynomial, region: Region) -> SupNormResult:
-    """Max of |f| over the region's sample grid, with the attaining point."""
+    """Max of |f| over the region's sample grid, with the attaining point; on a
+    from_box Region in two or more variables f's values come axis by axis."""
     if region.sample_points is None or region.sample_points.shape[0] == 0:
         raise ValueError("region has no sample points")
-    vals = np.abs(f.evaluate_grid(region.sample_points))
+    vals = np.abs(_sample_values(f, region))
     i = int(np.argmax(vals))
     return SupNormResult(float(vals[i]), tuple(region.sample_points[i]),
                          region.resolution)
@@ -329,7 +359,7 @@ def _dilations(region: Region, eps_list) -> list[np.ndarray]:
     k0 = np.floor(-e_max / res) - 1
     k1 = [np.ceil((float(hi - lo) + e_max) / res) + 1 for lo, hi in region.box]
     sizes = [k - k0 + 1 for k in k1]
-    grid = _lattice(sizes, lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
+    grid, _ = _lattice(sizes, lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
     corner = np.array([lo for lo, _ in region.box])
     k = np.rint((samples - corner) / res)  # lo + k*res as _lattice computes it
     hit = np.all((corner + res * k == samples) & (k >= k0) & (k <= k1), axis=1)

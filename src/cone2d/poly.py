@@ -139,6 +139,24 @@ class Dyadic:
         return f"{self.m}/{1 << self.k}"
 
 
+def _table(x, top: int, lo: float, hi: float) -> np.ndarray:
+    """Rows B(0..top, x) of one variable's basis by recurrence: x**e = x * x**(e-1)
+    where hi == lo, else T_e = 2t * T_(e-1) - T_(e-2) of t = (2x - lo - hi) / (hi - lo);
+    numpy's ``**`` is many times slower on negative bases."""
+    table = np.empty((top + 1, len(x)))
+    table[0] = 1.0
+    if hi == lo:
+        for e in range(1, top + 1):
+            np.multiply(table[e - 1], x, out=table[e])
+    elif top:
+        table[1] = (2 * x - lo - hi) / (hi - lo)
+        t2 = 2 * table[1]
+        for e in range(2, top + 1):
+            np.multiply(table[e - 1], t2, out=table[e])
+            table[e] -= table[e - 2]
+    return table
+
+
 def design_matrix(points, exps, box=None) -> np.ndarray:
     """Tensor-basis design matrix of an (N, n) point array: entry [j, k] is
     prod_i B_i(exps[k][i], points[j][i]), as an (N, len(exps)) float array.
@@ -147,32 +165,20 @@ def design_matrix(points, exps, box=None) -> np.ndarray:
     (lo, hi) sides, B_i(e, x) = T_e((2x - lo - hi) / (hi - lo)), the
     Chebyshev polynomial of the first kind on side i mapped to [-1, 1];
     a side with hi == lo keeps x**e.  Each variable's table
-    B_i(0..max_e, x_i) is built by recurrence (x**e = x * x**(e-1), or
-    T_e = 2t * T_(e-1) - T_(e-2)); numpy's ``**`` is many times slower on
-    negative bases.  Rows of the first table are gathered once and the
-    others multiplied into them in place, so no second (len(exps), N)
-    temporary exists.  The result is the transpose of a C-ordered
-    (len(exps), N) array.
+    B_i(0..max_e, x_i) comes from _table.  Rows of the first table are
+    gathered once and the others multiplied into them in place, so no
+    second (len(exps), N) temporary exists.  The result is the transpose
+    of a C-ordered (len(exps), N) array.
     """
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), points.shape[1])
     sides = [(0.0, 0.0)] * points.shape[1] if box is None else box
     out = None
-    for x, col, (lo, hi) in zip(points.T, exps.T, sides):
+    for x, col, side in zip(points.T, exps.T, sides):
         top = int(col.max(initial=0))
         if top == 0:
             continue
-        table = np.empty((top + 1, points.shape[0]))
-        table[0] = 1.0
-        if hi == lo:
-            for e in range(1, top + 1):
-                np.multiply(table[e - 1], x, out=table[e])
-        else:
-            table[1] = (2 * x - lo - hi) / (hi - lo)
-            t2 = 2 * table[1]
-            for e in range(2, top + 1):
-                np.multiply(table[e - 1], t2, out=table[e])
-                table[e] -= table[e - 2]
+        table = _table(x, top, *side)
         if out is None:
             out = table[col]
         else:
@@ -181,6 +187,27 @@ def design_matrix(points, exps, box=None) -> np.ndarray:
     if out is None:
         out = np.ones((exps.shape[0], points.shape[0]))
     return out.T
+
+
+def _on_lattice(axes, kept, exps, box, v, transpose=False) -> np.ndarray:
+    """design_matrix(points, exps, box) @ v, or with transpose its transpose times v,
+    for the rows kept (flat indices) of the lexicographic lattice of the axes and
+    distinct exps, by sum factorization: the coefficient tensor meets one _table per
+    axis, about len(lattice) * top work instead of N * len(exps).  The sums run in
+    another order, so the values agree with the matrix's to rounding."""
+    exps = np.asarray(exps, dtype=np.intp).reshape(len(exps), len(axes))
+    tops = exps.max(axis=0, initial=0)
+    sides = [(0.0, 0.0)] * len(axes) if box is None else box
+    tables = [_table(x, int(top), *side) for x, top, side in zip(axes, tops, sides)]
+    if transpose:
+        grid = np.zeros([len(x) for x in axes])
+        grid.reshape(-1)[kept] = v  # a view of the new array
+    else:
+        grid = np.zeros(tops + 1)
+        grid[tuple(exps.T)] = v
+    for table in tables:  # each contraction appends its axis last
+        grid = np.tensordot(grid, table, axes=(0, 1 if transpose else 0))
+    return grid[tuple(exps.T)] if transpose else grid.reshape(-1)[kept]
 
 
 def nearest_dyadic(x: float, k: int) -> Dyadic:
@@ -245,13 +272,13 @@ class Polynomial:
 
     @classmethod
     def _ring_result(cls, n: int, terms: dict, demoted: bool, ordered: bool) -> "Polynomial":
-        """Unvalidated constructor for results built from valid terms: prunes
-        zeros and sorts, unless the terms are in grlex order already."""
+        """Unvalidated constructor for results built from valid nonzero terms:
+        sorts, unless the terms are in grlex order already.  Callers prune the
+        zeros their arithmetic can make: sums, and products with a float."""
         p = object.__new__(cls)
         p.n, p.demoted, p._arrays = n, demoted, None
-        p.terms = {e: c for e, c in terms.items() if not _is_zero_coeff(c)}
-        if not ordered:
-            p.terms = dict(sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0])))
+        p.terms = terms if ordered else dict(
+            sorted(terms.items(), key=lambda kv: grlex_key(kv[0])))
         return p
 
     # -- constructors --
@@ -264,7 +291,9 @@ class Polynomial:
     def constant(cls, n: int, c) -> "Polynomial":
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        return cls._ring_result(n, {(0,) * n: _as_coeff(c)}, False, ordered=True)
+        c = _as_coeff(c)
+        terms = {} if _is_zero_coeff(c) else {(0,) * n: c}
+        return cls._ring_result(n, terms, False, ordered=True)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -297,7 +326,12 @@ class Polynomial:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             prev = terms.get(exp)
-            terms[exp] = c if prev is None else prev + c
+            if prev is None:
+                terms[exp] = c
+            elif _is_zero_coeff(total := prev + c):
+                del terms[exp]
+            else:
+                terms[exp] = total
         demoted = self.demoted or other.demoted or any(
             isinstance(self.terms[exp], Dyadic) != isinstance(other.terms[exp], Dyadic)
             for exp in self.terms.keys() & other.terms.keys())
@@ -322,8 +356,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):  # c * s per term, as a constant factor gives
-            s = _as_coeff(other)
-            terms = {} if _is_zero_coeff(s) else {e: c * s for e, c in self.terms.items()}
+            s = _as_coeff(other)  # a product with a float can underflow; Dyadic ones cannot
+            terms = {} if _is_zero_coeff(s) else {
+                e: v for e, c in self.terms.items()
+                if isinstance(v := c * s, Dyadic) or not abs(v) < FLOAT_ZERO_TOL}
             mixed = bool(terms) and any(isinstance(c, Dyadic) != isinstance(s, Dyadic)
                                         for c in self.terms.values())
             return Polynomial._ring_result(self.n, terms, self.demoted or mixed, ordered=True)
@@ -357,7 +393,8 @@ class Polynomial:
         mask = (1 << bits) - 1
         terms = {tuple([(key >> s) & mask for s in shifts]):
                  Dyadic(acc[key], sum(scales)) if exact else acc[key]
-                 for key in sorted(acc, reverse=True)}
+                 for key in sorted(acc, reverse=True)
+                 if (acc[key] if exact else not _is_zero_coeff(acc[key]))}
         # Every product has one kind unless some pair mixes a Dyadic with a
         # float, so only such a pair can demote, in a product or a sum.
         mixed = bool(self.terms) and bool(other.terms) and len(kinds) == 2
@@ -397,7 +434,7 @@ class Polynomial:
         while p:
             if p & 1:
                 result = result * base if result is not None else Polynomial._ring_result(
-                    self.n, base.terms, base.demoted or not base.is_exact, ordered=True)
+                    self.n, dict(base.terms), base.demoted or not base.is_exact, ordered=True)
             p >>= 1
             if p:
                 base = base * base
@@ -545,12 +582,20 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
+        data = _wire_object(data, "polynomial")
         return cls(_wire_int(data["n"], "variable count n"),
                    _wire_entries(data.get("terms", []), "coeff", parse_coefficient))
 
     @classmethod
     def loads(cls, text: str) -> "Polynomial":
         return cls.from_json_dict(json.loads(text))
+
+
+def _wire_object(raw, what: str) -> dict:
+    """A JSON object, where the wire format needs one; anything else is an error."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _wire_int(raw, what: str) -> int:
@@ -572,7 +617,7 @@ def _wire_entries(entries, key: str, parse) -> dict:
     {"exp": [...], key: ...} entries; a repeated exponent is an error."""
     out = {}
     for entry in entries:
-        exp = tuple(_wire_int(e, "exponent") for e in entry["exp"])
+        exp = tuple(_wire_int(e, "exponent") for e in _wire_object(entry, "entry")["exp"])
         if exp in out:
             raise ValueError(f"duplicate exponent vector {list(exp)}")
         out[exp] = parse(entry[key])

@@ -162,6 +162,10 @@ FILES = {
     "no_radii": {"kind": "geometric", "radii": []},
     "one_n0": {"kind": "one", "n": 0},
     "empty_point": {"points": [[]]},
+    # a JSON value that is not an object
+    "json_list": [1, 2],
+    "json_number": 5,
+    "term_number": {"n": 1, "terms": [3]},
 }
 
 
@@ -261,6 +265,18 @@ CASES = [Case(*row) for row in [
     ("recover-negative-D", "moments recover --moments {mom_D_neg} --region {region}", 2),
     ("recover-tol-negative", "moments recover --moments {mom4} --region {region} --tol -1", 2),
     ("region-empty-box", "compare --region {empty_box}", 2, NO_VARS),
+    ("region-is-a-list", "norms sup --poly {poly} --region {json_list}", 2,
+     "region must be a JSON object, got list"),
+    ("region-is-a-number", "norms sup --poly {poly} --region {json_number}", 2,
+     "region must be a JSON object, got int"),
+    ("poly-is-a-list", "norms rho --poly {json_list} --point 0", 2,
+     "polynomial must be a JSON object, got list"),
+    ("phi-is-a-number", "norms phi --poly {poly} --phi {json_number}", 2,
+     "weight function must be a JSON object, got int"),
+    ("moments-is-a-list", "moments check --moments {json_list}", 2,
+     "moment functional must be a JSON object, got list"),
+    ("poly-term-is-a-number", "norms rho --poly {term_number} --point 0", 2,
+     "entry must be a JSON object, got int"),
     ("moments-no-variables", "moments check --moments {moments_n0}", 2, NO_VARS),
     ("kphi-box-no-radii", "spectrum kphi-box --phi {no_radii} --degree 3", 2, NO_VARS),
     ("kphi-box-no-variables", "spectrum kphi-box --phi {one_n0} --degree 3", 2, NO_VARS),

@@ -13,9 +13,10 @@ from cone2d import approx, norms
 from cone2d.approx import (PsdViolationError, module_interpolate,
                            psd_on_fattening, series_root, strictness_witness,
                            sup_approximate, tk_approximate)
-from cone2d.norms import Region, WeightFunction, fatten, phi_norm
+from cone2d.norms import Region, WeightFunction, fatten, phi_norm, sup_norm
 from cone2d.poly import Dyadic, Polynomial, design_matrix
 from cone2d.spectrum import monomials_upto
+from test_norms import lattice_bound
 
 
 def X(n, i):
@@ -233,13 +234,19 @@ class TestSupApproximate:
         assert cert.verify()
 
     def test_f_evaluated_once_on_samples(self, monkeypatch):
-        f = (X(1, 0) - 0.5) ** 2
-        grid = Polynomial.evaluate_grid
-        calls = []
+        """Once, by evaluate_grid in 1-D and by the lattice kernel in 2-D."""
+        grid, values = Polynomial.evaluate_grid, approx._sample_values
+        grid_calls, calls = [], []
         monkeypatch.setattr(Polynomial, "evaluate_grid",
-                            lambda p, pts: calls.append(p is f) or grid(p, pts))
-        sup_approximate(f, self.k01, d=1, eps=0.1, max_fit_degree=8)
-        assert calls.count(True) == 1
+                            lambda p, pts: grid_calls.append(p is f) or grid(p, pts))
+        monkeypatch.setattr(approx, "_sample_values",
+                            lambda p, k: calls.append(p is f) or values(p, k))
+        for n, region in ((1, self.k01), (2, Region.from_box([(0, 1)] * 2, resolution=0.05))):
+            f = (X(n, 0) - 0.5) ** 2 + X(n, n - 1) ** 2
+            sup_approximate(f, region, d=1, eps=0.1, max_fit_degree=8)
+            assert calls.count(True) == 1 and grid_calls.count(True) == (n == 1)
+            grid_calls.clear()
+            calls.clear()
 
 
 class TestSeriesRoot:
@@ -535,15 +542,23 @@ class TestChebyshevFit:
     @pytest.mark.parametrize("box, res", [([(-1, 1)], 1e-3), ([(-0.5, 1.5), (0, 1)], 0.05)])
     def test_unconstrained_fit_is_the_plain_normal_equations(self, box, res):
         """With no anchors x0 = 0 and Z = I, so sup's b is, bit for bit,
-        the monomial form of the solution of A^T A c = A^T t."""
+        the monomial form of the solution of A^T A c = A^T t.  In 2-D, t and
+        A^T t come from the lattice kernel, and A^T t agrees with the design
+        matrix's within the stated tolerance (lattice_bound)."""
         region = Region.from_box(box, resolution=res)
         n = len(box)
         f = sum((X(n, i) ** 2 for i in range(1, n)), X(n, 0) ** 2) + 0.1
         cert = sup_approximate(f, region, d=1, eps=0.1, max_fit_degree=6)
         samples, monos = region.sample_points, monomials_upto(n, 6)
         a = design_matrix(samples, monos, box)
-        t = (f.evaluate_grid(samples) + 0.05) ** 0.5
-        coeffs = approx._to_monomials(np.linalg.lstsq(a.T @ a, a.T @ t, rcond=None)[0],
+        t = (norms._sample_values(f, region) + 0.05) ** 0.5
+        at_t = a.T @ t
+        if n > 1:
+            axes, kept = region._memo["lattice"]
+            at_t, want = approx._on_lattice(axes, kept, monos, box, t, transpose=True), at_t
+            m = len(t) + sum(map(len, axes))
+            assert np.all(np.abs(at_t - want) <= lattice_bound(m, n, np.abs(a).T @ np.abs(t)))
+        coeffs = approx._to_monomials(np.linalg.lstsq(a.T @ a, at_t, rcond=None)[0],
                                       monos, box)
         b = cert.decomposition["b"]
         assert [b.terms.get(e, 0.0) for e in monos] == coeffs.tolist()
@@ -710,8 +725,10 @@ class TestRegionMemo:
         for call in _memo_calls(region):
             call(region)
         psd_on_fattening(X(2, 0), region, [0.1])
+        axes, kept = region._memo["lattice"]  # recorded by from_box: axes and kept indices
         arrays = [v for v in region._memo.values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == len(region._memo) - 1 >= 4  # the tree is the one other
+        assert len(arrays) == len(region._memo) - 2 >= 4  # the tree and the lattice are the others
+        arrays += [*axes, kept]
         for v in arrays:
             assert not v.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -727,6 +744,93 @@ class TestRegionMemo:
         rep = psd_on_fattening(X(1, 0) - 0.5, writable, [0.01, 0.02])
         assert rep == psd_on_fattening(X(1, 0) - 0.5, memo_free, [0.01, 0.02])
         assert writable._memo == {} and memo_free._memo
+
+
+# The stated tolerance of report floats on the lattice path against the design
+# path, as _close reads it: |lattice - design| <= REPORT_TOL * (1 + |design|).
+# grid_fit seeds 11-13 moved them by at most 1.5e-8 (a sup fit's coefficients).
+REPORT_TOL = 1e-7
+
+
+def _assert_reports_close(got, want, path=()):
+    """Equal JSON but for floats within REPORT_TOL and the message's digits."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for k in want.keys() - {"message"}:
+            _assert_reports_close(got[k], want[k], path + (k,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (u, v) in enumerate(zip(got, want)):
+            _assert_reports_close(u, v, path + (i,))
+    elif isinstance(want, float):
+        assert approx._close(got, want, REPORT_TOL), (path, got, want)
+    else:
+        assert got == want, path
+
+
+def _lattice_path_calls(n):
+    x = [X(n, i) for i in range(n)]
+    b = 1 + sum(c * xi for c, xi in zip((0.3, -0.2, 0.17), x)) + 0.1 * x[0] * x[-1]
+    pts = [(0.1,) * n, (-0.4,) + (0.5,) * (n - 1)]
+    return [lambda r: sup_approximate(b ** 2, r, d=1, eps=0.02, max_fit_degree=6),
+            lambda r: sup_approximate(b ** 4 - 0.05, r, d=2, eps=0.02, max_fit_degree=8),
+            lambda r: sup_approximate(b - 1.2, r, d=1, eps=0.02, max_fit_degree=4),
+            lambda r: strictness_witness(pts, r, eps=0.1, fit_degree=6)]
+
+
+class TestLatticePath:
+    LATTICE = [([(-1, 1), (-1, 1)], 0.04, None), ([(-1, 1), (-1, 1)], 0.04, 0.8),
+               ([(-0.5, 1.5), (0, 1), (-1, 1)], 0.1, None)]
+
+    @pytest.mark.parametrize("box, res, radius", LATTICE, ids=["square", "disk", "box3"])
+    def test_reports_match_the_design_path(self, box, res, radius):
+        """The same samples without a recorded lattice take the design path:
+        every verdict and verify() agree, and every float within REPORT_TOL."""
+        n = len(box)
+        ineqs = [] if radius is None else [radius**2 - X(n, 0) ** 2 - X(n, 1) ** 2]
+        region = Region.from_box(box, ineqs, resolution=res)
+        twin = Region(n, region.box, region.ineqs, region.resolution, region.sample_points)
+        assert "lattice" in region._memo and "lattice" not in twin._memo
+        for call in _lattice_path_calls(n):
+            got, want = call(region), call(twin)
+            assert got.verify() and want.verify()
+            _assert_reports_close(got.to_json_dict(), want.to_json_dict())
+        f = (X(n, 0) - 0.3) ** 3 * X(n, n - 1) + 0.5 * X(n, 1) + 0.5
+        got, want = sup_norm(f, region), sup_norm(f, twin)
+        assert got.argmax == want.argmax and approx._close(got.value, want.value, REPORT_TOL)
+
+    @pytest.mark.parametrize("region", [
+        Region.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.3),
+                            (0.2, 0.9), (0.8, 0.6), (0.4, 0.1), (0.7, 0.2), (0.1, 0.5)]),
+        fatten(Region.from_box([(0, 1), (0, 1)], resolution=0.1), 0.1),
+        Region.from_box([(-1, 1)], resolution=0.01),
+    ], ids=["from-points", "fatten", "one-variable"])
+    def test_regions_without_a_lattice_take_the_design_path(self, region, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice kernel ran")
+        monkeypatch.setattr(approx, "_on_lattice", refuse)
+        monkeypatch.setattr(norms, "_on_lattice", refuse)
+        assert "lattice" not in region._memo
+        n, pts = region.n, [tuple(region.sample_points[0])]
+        f = sum((X(n, i) ** 2 for i in range(1, n)), X(n, 0) ** 2) + 0.1
+        sup_norm(f, region)
+        assert sup_approximate(f, region, d=1, eps=0.05, max_fit_degree=2).verify()
+        assert strictness_witness(pts, region, eps=0.5, fit_degree=2).verify()
+
+    @pytest.mark.parametrize("box", [[(-1, 1)], [(-1, 1), (0, 2)]], ids=["line", "square"])
+    def test_design_matrix_builds(self, box, monkeypatch):
+        """On the samples: one design matrix per Chebyshev fit in 1-D, as
+        before; in 2-D one for a new Gram only, and none in verify()."""
+        region = Region.from_box(box, resolution=0.05)
+        built, design = [], approx.design_matrix
+        monkeypatch.setattr(approx, "design_matrix", lambda pts, *a: built.append(
+            len(pts) == len(region.sample_points)) or design(pts, *a))
+        n = len(box)
+        f = sum((X(n, i) ** 2 for i in range(1, n)), X(n, 0) ** 2) + 0.1
+        for _ in range(2):
+            cert = sup_approximate(f, region, d=1, eps=0.05, max_fit_degree=6)
+            assert cert.message == "" and cert.verify()
+        assert built.count(True) == (2 if n == 1 else 1)
 
 
 def _sample_certificates():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cone2d import norms
 from cone2d.norms import (Region, WeightFunction, fatten, lasserre_threshold,
                           lasserre_weight, phi_norm, rho_alpha, sup_norm)
-from cone2d.poly import Dyadic, Polynomial
+from cone2d.poly import Dyadic, Polynomial, _on_lattice, design_matrix
+from cone2d.spectrum import monomials_upto
 
 
 def X(n, i):
@@ -215,8 +216,8 @@ def _full_tree_dilations(region, eps_list):
     res, samples, e_max = region.resolution, region.sample_points, float(eps_list[-1])
     k0 = np.floor(-e_max / res) - 1
     k1 = [np.ceil((float(hi - lo) + e_max) / res) + 1 for lo, hi in region.box]
-    grid = norms._lattice([k - k0 + 1 for k in k1],
-                          lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
+    grid, _ = norms._lattice([k - k0 + 1 for k in k1],
+                             lambda i: region.box[i][0] + res * np.arange(k0, k1[i] + 1))
     dist, _ = cKDTree(samples).query(grid, k=1)
     keep = (dist > 0) & (dist <= reach[-1])
     pts = np.vstack([samples, grid[keep]])
@@ -352,6 +353,62 @@ class TestRegion:
     def test_nan_side_rejected(self):
         with pytest.raises(ValueError, match="box side"):
             Region.from_box([(0.0, float("nan"))], resolution=0.1)
+
+
+def lattice_bound(m, n, terms):
+    """The stated tolerance of _on_lattice against design_matrix, from terms,
+    the sum of |term| of each entry: 2 (m + n) eps terms.  Each side is a
+    sum of at most m products of n + 1 factors, whose rounding in any order
+    is within gamma_(m+n) = (m + n) u / (1 - (m + n) u) of terms where no
+    product underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 3.1), u = eps / 2; the per-axis tables are the same
+    bits on both sides."""
+    return 2 * (m + n) * np.finfo(float).eps * terms
+
+
+@st.composite
+def lattice_cases(draw):
+    """A from_box Region in 2 or 3 variables, a side possibly flat, possibly
+    cut by a ball; a subset of the monomials of degree 0-12 and a basis.
+    A side's lower end is 0 or at least 1e-3 in magnitude, so that no
+    product underflows."""
+    n = draw(st.integers(2, 3))
+    box = []
+    for _ in range(n):
+        lo = draw(st.floats(-3, 3).map(lambda v: v if abs(v) >= 1e-3 else 0.0))
+        box.append((lo, lo + draw(st.one_of(st.just(0.0), st.floats(0.25, 4)))))
+    widest = max(hi - lo for lo, hi in box)
+    res = widest / draw(st.integers(2, 24 if n == 2 else 9)) if widest else 1.0
+    ineqs = []
+    if draw(st.booleans()):  # a ball about the centre, holding its nearest sample
+        x = [Polynomial.variable(n, i) - (lo + hi) / 2 for i, (lo, hi) in enumerate(box)]
+        r2 = sum(((hi - lo) / 2) ** 2 for lo, hi in box) / 2 + n * res**2
+        ineqs = [r2 - sum((xi * xi for xi in x), Polynomial.zero(n))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    monos = monomials_upto(n, draw(st.integers(0, 12)))
+    exps = [e for e in monos if rng.random() < 0.7] or monos[:1]
+    chebyshev = draw(st.booleans())
+    return Region.from_box(box, ineqs, resolution=res), exps, chebyshev, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_cases())
+def test_lattice_kernel_matches_design_matrix(case):
+    region, exps, chebyshev, rng = case
+    axes, kept = region._memo["lattice"]
+    samples, n = region.sample_points, region.n
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    assert np.array_equal(lattice[kept], samples)
+    basis = region.box if chebyshev else None
+    a = design_matrix(samples, exps, basis)
+    v = rng.uniform(-1, 1, len(exps))
+    got = _on_lattice(axes, kept, exps, basis, v)
+    m = len(exps) + int(np.sum(np.max(exps, axis=0) + 1))
+    assert np.all(np.abs(got - a @ v) <= lattice_bound(m, n, np.abs(a) @ np.abs(v)))
+    t = rng.uniform(-1, 1, len(samples))
+    got = _on_lattice(axes, kept, exps, basis, t, transpose=True)
+    m = len(samples) + sum(map(len, axes))
+    assert np.all(np.abs(got - a.T @ t) <= lattice_bound(m, n, np.abs(a).T @ np.abs(t)))
 
 
 WEIGHTS = {"one": WeightFunction.one, "lasserre": WeightFunction.lasserre,
