@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .norms import WeightFunction
+from .norms import MAX_MATRIX_ENTRIES, WeightFunction
 from .poly import Polynomial, design_matrix
 
 DEFAULT_RANK_TOL = 1e-10
@@ -41,6 +41,14 @@ def _monomials(n: int, degree: int) -> tuple:
 def coefficient_space_dim(n: int, degree: int) -> int:
     """Dimension of the degree-<=D coefficient space, C(n + D, D)."""
     return math.comb(n + degree, degree)
+
+
+def _dense_monomials(n: int, degree: int, rows: int) -> list[tuple]:
+    """monomials_upto(n, degree), refused before anything is built where dense rows x K
+    and K x K matrices over its K = C(n + D, D) monomials exceed MAX_MATRIX_ENTRIES."""
+    if max(rows, k := coefficient_space_dim(n, degree)) * k > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"degree {degree} in {n} variables: {k} monomials; lower the degree")
+    return monomials_upto(n, degree)
 
 
 class KphiMembership(NamedTuple):
@@ -126,7 +134,7 @@ def vanishing_ideal_basis(points, degree: int, tol: float = DEFAULT_RANK_TOL
         raise ValueError(f"variable count must be >= 1, got {n}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    monos = monomials_upto(n, degree)
+    monos = _dense_monomials(n, degree, len(pts))
     a = design_matrix(pts, monos)
     scale = np.max(np.abs(a), axis=0)
     scale[scale == 0] = 1.0

@@ -2,9 +2,10 @@
 
 A row is ``(id, command line, exit code, check)``.  ``{name}`` in the command
 line is the path of ``FILES[name]``, written as JSON to ``name.json`` in a fresh
-directory; ``{dir}`` is that directory.  Every report must be strict JSON.  An
-exit-2 row reports exactly ``{"error": ...}``, and its check is a substring of
-the message.  Any other row's check is a predicate on the report's ``result``.
+directory; ``{dir}`` is that directory.  Every stdout must be one line of strict
+JSON.  An exit-2 row reports exactly ``{"error": ...}``, and its check is a
+substring of the message.  Any other row's check is a predicate on the report's
+``result``.
 
 ``tests/test_cli.py`` runs each row in-process through ``cone2d.cli.main``;
 ``python tests/cli_cases.py`` runs each through the ``cone2d`` console script
@@ -118,6 +119,7 @@ FILES = {
     "square": {"box": [[-1, 1], [-1, 1]], "resolution": 0.02},
     "far": {"box": [[10, 11]], "resolution": 0.001},
     "far_pts": {"points": [[10.25], [10.5]]},
+    "point_2_70": {"points": [[2.0**70]]},
     "square_pts": {"points": [[0, 0], [0.5, -0.25]]},
     "f_tk": terms((0.25, [0, 0]), (0.25, [2, 0]), (-0.125, [1, 1]), (0.25, [0, 2]), n=2),
     "lattice": {"points": [[i / 4 + ((3 * i + j) % 5) / 64, j / 4 + ((i + 2 * j) % 5) / 64]
@@ -282,6 +284,14 @@ CASES = [Case(*row) for row in [
     ("kphi-box-no-variables", "spectrum kphi-box --phi {one_n0} --degree 3", 2, NO_VARS),
     ("hausdorff-empty-point", "spectrum hausdorff --points {empty_point} --degree 2", 2,
      NO_VARS),
+    # sizes are checked before allocation: 501501 monomials, an identity of 1.83 TiB
+    ("witness-degree-too-large", "witness --region {square} --points {square_pts} "
+     "--degree 1000", 2, "lower the degree"),
+    ("hausdorff-degree-too-large", "spectrum hausdorff --points {points2} --degree 100000",
+     2, "lower the degree"),
+    # its powers overflow: rejected before LAPACK, which would print to stdout
+    ("witness-point-far-outside", "witness --region {far} --points {point_2_70} "
+     "--degree 15", 2, "too far from the region's box"),
     ("tk-success", "approx tk --poly {x2_plus_1} --points {pts} --eps 0.01", 0,
      lambda r: r["success"] and max(r["residuals"]["per_point"]) < 0.01),
     ("readme-tk-example", "--no-timestamp approx tk --poly {f} --points {pts} --eps 1e-3", 0,
@@ -356,6 +366,7 @@ def run_case(case, workdir, invoke):
     through invoke(argv) -> (exit code, stdout), and check the report."""
     paths = InputPaths(workdir)
     code, out = invoke([arg.format_map(paths) for arg in shlex.split(case.argv)])
+    assert len(out.splitlines()) == 1, out
     report = json.loads(out, parse_constant=_not_strict)
     assert code == case.exit, (code, report)
     if case.exit == 2:

@@ -416,14 +416,17 @@ WEIGHTS = {"one": WeightFunction.one, "lasserre": WeightFunction.lasserre,
            "geometric_huge": lambda n: WeightFunction.geometric([1e30] * n)}
 
 
-def norm_or_error(f, phi, threshold):
-    """phi_norm's bits, or its error text, with the loop threshold set."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "EVAL_LOOP_TERMS", threshold)
-        try:
-            return struct.pack("<d", phi_norm(f, phi))
-        except ValueError as exc:
-            return str(exc)
+def loop_norm(f, phi):
+    """The term loop: |f_s| * w(s) summed in term order."""
+    return sum(abs(float(c)) * phi(exp) for exp, c in f.terms.items())
+
+
+def norm_or_error(f, phi, norm=phi_norm):
+    """norm(f, phi)'s bits, or its error text."""
+    try:
+        return struct.pack("<d", norm(f, phi))
+    except ValueError as exc:
+        return str(exc)
 
 
 def phi_polys():
@@ -445,13 +448,13 @@ def phi_polys():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_phi_norm_both_sides_bit_identical(kind, f):
     phi = WEIGHTS[kind](f.n)
-    assert norm_or_error(f, phi, 0) == norm_or_error(f, phi, math.inf)
+    assert norm_or_error(f, phi) == norm_or_error(f, phi, loop_norm)
 
 
 def test_phi_norm_adds_in_term_order():
     # 1 + 1e-16 rounds back to 1 at each step of the loop; a pairwise sum does not
     f = Polynomial(1, {(k,): 1e-16 if k else 1.0 for k in range(40)})
-    assert norm_or_error(f, WeightFunction.one(1), 0) == struct.pack("<d", 1.0)
+    assert norm_or_error(f, WeightFunction.one(1)) == struct.pack("<d", 1.0)
 
 
 @pytest.mark.parametrize("f, phi", [
@@ -459,9 +462,9 @@ def test_phi_norm_adds_in_term_order():
     (Polynomial(2, {(k, 1): 0.5 for k in range(20)}), WeightFunction.geometric([1e30, 2.0])),
 ])
 def test_phi_norm_overflow_error_on_both_sides(f, phi):
-    loop = norm_or_error(f, phi, math.inf)
+    loop = norm_or_error(f, phi, loop_norm)
     assert "exceeds the float range" in loop
-    assert norm_or_error(f, phi, 0) == loop
+    assert norm_or_error(f, phi) == loop
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -469,14 +472,13 @@ def test_phi_norm_weight_product_overflows_silently():
     # every r**e is finite, but 1e100**5 is not
     f = Polynomial(5, {e: 0.5 for e in itertools.product((0, 1), repeat=5)})
     phi = WeightFunction.geometric([1e100] * 5)
-    assert norm_or_error(f, phi, 0) == norm_or_error(f, phi, math.inf) == \
+    assert norm_or_error(f, phi) == norm_or_error(f, phi, loop_norm) == \
         struct.pack("<d", math.inf)
 
 
-def test_phi_norm_table_weight_stays_on_loop(monkeypatch):
+def test_phi_norm_table_weight_stays_on_loop():
     f = Polynomial(1, {(k,): 0.5 for k in range(20)})
     phi = WeightFunction(1, "table", table={(k,): 1.0 + k for k in range(20)})
-    monkeypatch.setattr(norms, "EVAL_LOOP_TERMS", 0)
     assert phi_norm(f, phi) == sum(0.5 * (1.0 + k) for k in range(20))
     assert f._arrays is None
 

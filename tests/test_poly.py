@@ -573,24 +573,20 @@ def eval_cases():
     return st.integers(1, 3).flatmap(build)
 
 
-@pytest.mark.parametrize("threshold", [0, math.inf])
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
+@example((Polynomial.zero(2), (1.0, 2.0)))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_evaluate_both_sides_bit_identical(threshold, case):
+def test_evaluate_bit_identical(case):
     p, x = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "EVAL_LOOP_TERMS", threshold)
-        try:
-            want = nan_blind(reference_evaluate(p, x))
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                p.evaluate(x)
-            return
-        assert nan_blind(p.evaluate(x)) == want
-        if threshold == 0 and p.terms:
-            assert p._arrays is not None
+    try:
+        want = nan_blind(reference_evaluate(p, x))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            p.evaluate(x)
+        return
+    assert nan_blind(p.evaluate(x)) == want
 
 
 def assert_batch_evaluates_like_evaluate(p, points):
@@ -608,19 +604,16 @@ def assert_batch_evaluates_like_evaluate(p, points):
     assert [nan_blind(p.evaluate(x)) for x in points] == want
 
 
-@pytest.mark.parametrize("threshold", [0, poly.EVAL_LOOP_TERMS])
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
-@example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (-0.0,)))  # past the loop
+@example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (-0.0,)))  # 20 terms
 @example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (1e40,)))  # overflows
 @example((Polynomial.zero(2), (1.0, 2.0)))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_batched_evaluation_bit_identical(threshold, case):
+def test_batched_evaluation_bit_identical(case):
     p, x = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "EVAL_LOOP_TERMS", threshold)
-        assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
+    assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
 
 
 @settings(max_examples=100, deadline=None)
