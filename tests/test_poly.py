@@ -573,20 +573,28 @@ def eval_cases():
     return st.integers(1, 3).flatmap(build)
 
 
+@pytest.mark.parametrize("companion", [0, math.inf])
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
 @example((Polynomial.zero(2), (1.0, 2.0)))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_evaluate_bit_identical(case):
+def test_evaluate_both_sides_bit_identical(companion, case):
+    """p.evaluate(x) is the term loop's value, and so are both rows of a batch that
+    evaluates x beside a point whose coordinates are all 0 or all inf."""
     p, x = case
+    other = (float(companion),) * p.n
     try:
         want = nan_blind(reference_evaluate(p, x))
     except OverflowError:
         with pytest.raises(OverflowError):
             p.evaluate(x)
+        with pytest.raises(OverflowError):
+            p._evaluate_at([x, other])
         return
     assert nan_blind(p.evaluate(x)) == want
+    assert [nan_blind(v) for v in p._evaluate_at([x, other])] == \
+        [want, nan_blind(reference_evaluate(p, other))]
 
 
 def assert_batch_evaluates_like_evaluate(p, points):
@@ -604,6 +612,7 @@ def assert_batch_evaluates_like_evaluate(p, points):
     assert [nan_blind(p.evaluate(x)) for x in points] == want
 
 
+@pytest.mark.parametrize("extra", [0, 16])
 @settings(max_examples=150, deadline=None)
 @given(eval_cases())
 @example((Polynomial(1, {(1,): 1.0, (3,): 2.0}), (-0.0,)))  # a sum of -0.0s is 0.0
@@ -611,9 +620,11 @@ def assert_batch_evaluates_like_evaluate(p, points):
 @example((Polynomial(1, {(e,): 1.0 for e in range(1, 40, 2)}), (1e40,)))  # overflows
 @example((Polynomial.zero(2), (1.0, 2.0)))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_batched_evaluation_bit_identical(case):
+def test_batched_evaluation_bit_identical(extra, case):
+    """A row's value does not depend on how many rows share its power tables."""
     p, x = case
-    assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x])
+    assert_batch_evaluates_like_evaluate(p, [x, x[::-1], (-0.0,) * p.n, x] +
+                                         [(k / 4,) * p.n for k in range(extra)])
 
 
 @settings(max_examples=100, deadline=None)
